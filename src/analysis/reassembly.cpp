@@ -18,19 +18,45 @@ std::optional<sim::SimTime> ReassembledStream::byte_time(
 std::optional<sim::SimTime> ReassembledStream::prefix_complete_time(
     std::size_t offset) const {
   // Replay capture order; report the time the prefix [0, offset] is fully
-  // covered for the first time.
-  std::vector<bool> covered(offset + 1, false);
-  std::size_t remaining = offset + 1;
+  // covered for the first time. [0, covered) is the contiguous front;
+  // `ahead` holds the disjoint, non-touching intervals [lo, hi) that arrived
+  // beyond it, sorted by lo. Segments that start past `offset` cannot help.
+  struct Interval {
+    std::size_t lo;
+    std::size_t hi;
+  };
+  std::vector<Interval> ahead;
+  std::size_t covered = 0;
   for (const Segment& s : segments_) {
-    const std::size_t lo = s.offset;
-    const std::size_t hi = std::min(offset + 1, s.offset + s.length);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (!covered[i]) {
-        covered[i] = true;
-        --remaining;
+    std::size_t lo = s.offset;
+    std::size_t hi = s.offset + s.length;
+    if (hi <= covered || lo > offset || s.length == 0) continue;
+    if (lo <= covered) {
+      covered = hi;
+      auto absorbed = ahead.begin();
+      while (absorbed != ahead.end() && absorbed->lo <= covered) {
+        covered = std::max(covered, absorbed->hi);
+        ++absorbed;
+      }
+      ahead.erase(ahead.begin(), absorbed);
+      if (covered > offset) return s.at;
+    } else {
+      // Merge with every interval that overlaps or touches [lo, hi).
+      auto first = std::lower_bound(
+          ahead.begin(), ahead.end(), lo,
+          [](const Interval& iv, std::size_t v) { return iv.hi < v; });
+      auto last = first;
+      for (; last != ahead.end() && last->lo <= hi; ++last) {
+        lo = std::min(lo, last->lo);
+        hi = std::max(hi, last->hi);
+      }
+      if (first == last) {
+        ahead.insert(first, Interval{lo, hi});
+      } else {
+        *first = Interval{lo, hi};
+        ahead.erase(first + 1, last);
       }
     }
-    if (remaining == 0) return s.at;
   }
   return std::nullopt;
 }

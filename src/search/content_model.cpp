@@ -1,30 +1,94 @@
 #include "search/content_model.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstring>
 
 namespace dyncdn::search {
 
 namespace {
+// The filler's letter stream is the 64-bit LCG h' = kMul*h + kInc seeded
+// with the FNV-1a hash of the tag; letter n is 'a' + (h_(n+1) >> 33) % 26.
+constexpr std::uint64_t kMul = 6364136223846793005ULL;
+constexpr std::uint64_t kInc = 1442695040888963407ULL;
+// A newline sits at every byte offset that is a positive multiple of
+// kLine: 73 letters, '\n', then lines of 72 letters and '\n'.
+constexpr std::size_t kLine = 73;
+// Independent LCG chains interleaved over the letter stream.
+constexpr std::size_t kLanes = 8;
+
+/// The affine map h -> mul*h + inc of `steps` LCG steps.
+struct Jump {
+  std::uint64_t mul;
+  std::uint64_t inc;
+};
+
+constexpr Jump jump(std::size_t steps) {
+  Jump j{1, 0};
+  for (std::size_t i = 0; i < steps; ++i) {
+    j = {j.mul * kMul, j.inc * kMul + kInc};
+  }
+  return j;
+}
+
+constexpr std::array<Jump, kLanes> lane_starts() {
+  std::array<Jump, kLanes> starts{};
+  for (std::size_t k = 0; k < kLanes; ++k) starts[k] = jump(k + 1);
+  return starts;
+}
+
+constexpr std::array<Jump, kLanes> kLaneStart = lane_starts();
+constexpr Jump kLaneStep = jump(kLanes);
+
+// (h >> 33) fits 32 bits; saying so lets the `% 26` use a 32-bit multiply.
+inline char letter(std::uint64_t h) {
+  return static_cast<char>('a' + static_cast<std::uint32_t>(h >> 33) % 26u);
+}
+
 /// Deterministic printable filler derived from a tag string, appended in
-/// place. The newline cadence runs off a local counter, not out.size(), so
+/// place. The layout runs off the filler's own offset, not out.size(), so
 /// the produced bytes are identical whether out starts empty or mid-page.
+///
+/// Lane k produces letters k, k+8, k+16, ... by jumping its chain ahead
+/// eight steps at a time, so the eight multiplies per round are independent.
+/// The letters are written contiguously, then the newline slots are opened
+/// from the back.
 void append_filler(std::string& out, std::string_view tag, std::size_t bytes) {
+  if (bytes == 0) return;
   std::uint64_t h = 0xCBF29CE484222325ULL;
   for (const char c : tag) {
     h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
   }
-  std::size_t produced = 0;
-  while (produced < bytes) {
-    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-    out.push_back(static_cast<char>('a' + ((h >> 33) % 26)));
-    ++produced;
-    if (produced % 73 == 0) {
-      out.push_back('\n');
-      ++produced;
+  const std::size_t newlines = (bytes - 1) / kLine;
+  const std::size_t letters = bytes - newlines;
+  const std::size_t start = out.size();
+  out.resize(start + bytes);
+  char* const p = out.data() + start;
+
+  std::array<std::uint64_t, kLanes> lane;
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    lane[k] = kLaneStart[k].mul * h + kLaneStart[k].inc;
+  }
+  std::size_t i = 0;
+  for (; i + kLanes <= letters; i += kLanes) {
+    // Unrolled, the lanes live in registers rather than on the stack.
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      p[i + k] = letter(lane[k]);
+      lane[k] = kLaneStep.mul * lane[k] + kLaneStep.inc;
     }
   }
-  // The trailing newline may overshoot by one byte; trim to the request.
-  out.resize(out.size() - (produced - bytes));
+  for (std::size_t k = 0; i < letters; ++i, ++k) p[i] = letter(lane[k]);
+
+  // Newline j (1-based) sits at byte kLine*j; the letters after it shift
+  // right by j. Moving the last line first never overwrites unmoved letters.
+  for (std::size_t j = newlines; j > 0; --j) {
+    const std::size_t from = kLine * j - (j - 1);
+    const std::size_t count = j == newlines ? letters - from : kLine - 1;
+    std::memmove(p + kLine * j + 1, p + from, count);
+    p[kLine * j] = '\n';
+  }
 }
 
 std::string filler(std::string_view tag, std::size_t bytes) {
@@ -89,7 +153,7 @@ std::string ContentModel::dynamic_body(const Keyword& keyword,
   b += "</a></div>\n";
 
   const std::size_t per_result =
-      (target > b.size())
+      (target > b.size() + 64)
           ? std::max<std::size_t>(64, (target - b.size() - 64) /
                                           std::max<std::size_t>(
                                               1, profile_.results_per_page))

@@ -3,7 +3,11 @@
 // server whose ground-truth timing we control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "analysis/boundary.hpp"
 #include "analysis/reassembly.hpp"
@@ -147,6 +151,108 @@ TEST(Reassembly, PrefixCompleteAfterOutOfOrderFill) {
   const auto last_byte_first_arrival = stream.byte_time(6 * 1448 - 1);
   ASSERT_TRUE(complete && last_byte_first_arrival);
   EXPECT_GT(*complete, *last_byte_first_arrival);
+}
+
+/// The original prefix-completion algorithm: one bit per byte of the
+/// prefix, every byte of every segment replayed in capture order. Kept here
+/// only as the reference for ReassembledStream::prefix_complete_time.
+std::optional<SimTime> reference_prefix_complete_time(
+    const std::vector<ReassembledStream::Segment>& segments,
+    std::size_t offset) {
+  std::vector<bool> covered(offset + 1, false);
+  std::size_t remaining = offset + 1;
+  for (const ReassembledStream::Segment& s : segments) {
+    const std::size_t lo = s.offset;
+    const std::size_t hi = std::min(offset + 1, s.offset + s.length);
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (!covered[i]) {
+        covered[i] = true;
+        --remaining;
+      }
+    }
+    if (remaining == 0) return s.at;
+  }
+  return std::nullopt;
+}
+
+/// A capture-order segment list for a stream of `length` bytes: an
+/// in-order run with reordering, duplicates, overlapping retransmissions,
+/// zero-length segments, ties in time and (sometimes) holes that are never
+/// filled.
+std::vector<ReassembledStream::Segment> random_segments(std::mt19937_64& g,
+                                                        std::size_t length) {
+  using Segment = ReassembledStream::Segment;
+  auto pick = [&g](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(g);
+  };
+  const std::size_t mss = pick(1, 200);
+  const bool leave_holes = pick(0, 3) == 0;
+  std::vector<Segment> out;
+  for (std::size_t at = 0; at < length;) {
+    const std::size_t len = std::min(length - at, pick(1, mss));
+    if (!leave_holes || pick(0, 9) != 0) {
+      out.push_back(Segment{at, len, SimTime::zero()});
+    }
+    at += len;
+  }
+  // Reorder: swap neighbours and move some segments far back.
+  for (std::size_t i = 0; i + 1 < out.size(); ++i) {
+    if (pick(0, 5) == 0) std::swap(out[i], out[i + 1]);
+  }
+  for (std::size_t n = pick(0, 3); n > 0 && out.size() > 1; --n) {
+    const std::size_t from = pick(0, out.size() - 2);
+    const Segment moved = out[from];
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(from));
+    out.push_back(moved);
+  }
+  // Duplicates, overlapping retransmissions and zero-length segments.
+  for (std::size_t n = pick(0, 8); n > 0 && !out.empty(); --n) {
+    const std::size_t where = pick(0, out.size());
+    switch (pick(0, 2)) {
+      case 0:
+        out.insert(out.begin() + static_cast<std::ptrdiff_t>(where),
+                   out[pick(0, out.size() - 1)]);
+        break;
+      case 1: {
+        const std::size_t lo = pick(0, length - 1);
+        const std::size_t hi = std::min(length, lo + pick(1, 3 * mss));
+        out.insert(out.begin() + static_cast<std::ptrdiff_t>(where),
+                   Segment{lo, hi - lo, SimTime::zero()});
+        break;
+      }
+      default:
+        out.insert(out.begin() + static_cast<std::ptrdiff_t>(where),
+                   Segment{pick(0, length), 0, SimTime::zero()});
+        break;
+    }
+  }
+  // Non-decreasing capture times; about a third are ties.
+  std::int64_t now = 0;
+  for (Segment& s : out) {
+    if (pick(0, 2) != 0) now += static_cast<std::int64_t>(pick(1, 1000));
+    s.at = SimTime::nanoseconds(now);
+  }
+  return out;
+}
+
+TEST(Reassembly, PrefixCompleteMatchesPerByteReference) {
+  std::mt19937_64 g(20111102);
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t length =
+        std::uniform_int_distribution<std::size_t>(1, 1500)(g);
+    const auto segments = random_segments(g, length);
+    const ReassembledStream stream = ReassembledStream::from_segments(segments);
+    for (std::size_t offset = 0; offset < length + 3; ++offset) {
+      ASSERT_EQ(stream.prefix_complete_time(offset),
+                reference_prefix_complete_time(segments, offset))
+          << "round " << round << " offset " << offset;
+    }
+  }
+}
+
+TEST(Reassembly, PrefixCompleteOfEmptyStreamIsUnknown) {
+  const ReassembledStream stream = ReassembledStream::from_segments({});
+  EXPECT_FALSE(stream.prefix_complete_time(0));
 }
 
 TEST(Reassembly, EmptyForUnknownFlow) {

@@ -1,7 +1,11 @@
 // Search workload and content-model tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "search/content_model.hpp"
 #include "search/keywords.hpp"
@@ -196,6 +200,184 @@ TEST(ContentModel, DynamicBodiesShareNoLongPrefixAcrossKeywords) {
   std::size_t p = 0;
   while (p < std::min(a.size(), b.size()) && a[p] == b[p]) ++p;
   EXPECT_LT(p, 64u);
+}
+
+/// 64-bit FNV-1a; the golden tables below are pinned in it.
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : s) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+/// The original filler: one serial LCG step, push_back and `% 73` per
+/// byte. Kept here only as the reference the content model must match.
+std::string reference_filler(std::string_view tag, std::size_t bytes) {
+  std::string out;
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : tag) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  std::size_t produced = 0;
+  while (produced < bytes) {
+    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+    out.push_back(static_cast<char>('a' + ((h >> 33) % 26)));
+    ++produced;
+    if (produced % 73 == 0) {
+      out.push_back('\n');
+      ++produced;
+    }
+  }
+  out.resize(out.size() - (produced - bytes));
+  return out;
+}
+
+/// Offset of the CSS comment ("/*") in a service's static prefix; the
+/// filler follows it and is exactly `static_html_bytes - head - 220` long.
+std::size_t css_comment_offset(const std::string& service) {
+  ContentProfile profile;
+  profile.static_html_bytes = 0;
+  return ContentModel(profile, service).static_prefix().find("/*");
+}
+
+/// A static prefix whose CSS filler is exactly `filler_bytes` long.
+std::string static_prefix_with_filler(const std::string& service,
+                                      std::size_t filler_bytes) {
+  ContentProfile profile;
+  profile.static_html_bytes =
+      filler_bytes == 0 ? 0 : css_comment_offset(service) + 220 + filler_bytes;
+  return ContentModel(profile, service).static_prefix();
+}
+
+TEST(ContentModelGolden, FillerMatchesSerialReferenceAtEveryLength) {
+  for (const std::string service : {"GoogleLike", "BingLike"}) {
+    const std::size_t at = css_comment_offset(service) + 2;
+    for (std::size_t len = 0; len <= 3000; ++len) {
+      const std::string prefix = static_prefix_with_filler(service, len);
+      ASSERT_EQ(prefix.substr(at, len),
+                reference_filler(service + "/css", len))
+          << service << " length " << len;
+      ASSERT_EQ(prefix.compare(at + len, 2, "*/"), 0)
+          << service << " length " << len;
+    }
+  }
+}
+
+// Digests of the content model's bytes as produced by the original serial
+// filler. Filler lengths sit just below, at and above the newline points
+// (a newline at every byte offset that is a positive multiple of 73).
+TEST(ContentModelGolden, StaticPrefixBytesArePinned) {
+  struct Case {
+    const char* service;
+    std::size_t filler_bytes;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"GoogleLike", 0, 0xf5e00db1636045fULL},
+      {"GoogleLike", 1, 0x2813178f2b9da004ULL},
+      {"GoogleLike", 72, 0x34fe5f27dcc8aebULL},
+      {"GoogleLike", 73, 0x39b29ae310f2e90fULL},
+      {"GoogleLike", 74, 0xdff7a66e4319653fULL},
+      {"GoogleLike", 144, 0x579d590fed5077a6ULL},
+      {"GoogleLike", 145, 0x54e901613da960bfULL},
+      {"GoogleLike", 146, 0xfc8e456f880dbb5aULL},
+      {"GoogleLike", 147, 0x71dd1116d126f900ULL},
+      {"GoogleLike", 1000, 0xa235e0d4bd8d9295ULL},
+      {"BingLike", 0, 0x18e8b40cff9e3f9eULL},
+      {"BingLike", 1, 0xe84bc022d0d10644ULL},
+      {"BingLike", 72, 0xe13bb746c2b6350eULL},
+      {"BingLike", 73, 0xf0c0886afd5befc7ULL},
+      {"BingLike", 74, 0xda0203a1082903d7ULL},
+      {"BingLike", 144, 0xece923977a281378ULL},
+      {"BingLike", 145, 0xb304a4d9b928683ULL},
+      {"BingLike", 146, 0x8b3806ba8a61f050ULL},
+      {"BingLike", 147, 0x4b248f35deab873eULL},
+      {"BingLike", 1000, 0x2593419927af5ea3ULL},
+  };
+  for (const Case& c : cases) {
+    const std::string prefix =
+        static_prefix_with_filler(c.service, c.filler_bytes);
+    EXPECT_EQ(fnv1a(prefix), c.digest)
+        << c.service << " filler " << c.filler_bytes << " got 0x" << std::hex
+        << fnv1a(prefix);
+  }
+  const std::pair<const char*, std::uint64_t> defaults[] = {
+      {"GoogleLike", 0xd6bb405a818e10b0ULL},
+      {"BingLike", 0xbe3c4e2ac81dc527ULL},
+  };
+  for (const auto& [service, digest] : defaults) {
+    const ContentModel m(ContentProfile{}, service);
+    EXPECT_EQ(fnv1a(m.static_prefix()), digest)
+        << service << " default profile got 0x" << std::hex
+        << fnv1a(m.static_prefix());
+  }
+}
+
+/// One digest over many dynamic bodies of a keyword: a single result whose
+/// filler sweeps 0..~250 bytes across the newline points, then default
+/// pages (ten results, size noise) from a fixed rng stream.
+std::uint64_t dynamic_digest(const std::string& service,
+                             const std::string& keyword) {
+  const Keyword kw{keyword, KeywordClass::kGranular, 1};
+  std::string all;
+  for (std::size_t base = 256; base < 520; ++base) {
+    ContentProfile profile;
+    profile.dynamic_base_bytes = base;
+    profile.dynamic_per_word_bytes = 0;
+    profile.dynamic_size_sigma = 0.0;
+    profile.results_per_page = 1;
+    sim::RngStream rng(1);
+    all += ContentModel(profile, service).dynamic_body(kw, rng);
+  }
+  const ContentModel m(ContentProfile{}, service);
+  sim::RngStream rng(7);
+  for (int i = 0; i < 4; ++i) all += m.dynamic_body(kw, rng);
+  return fnv1a(all);
+}
+
+TEST(ContentModelGolden, DynamicBodyBytesArePinned) {
+  struct Case {
+    const char* service;
+    const char* keyword;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"GoogleLike", "alpha", 0x715307c84eab1262ULL},
+      {"GoogleLike", "galaxy history", 0x24b75a37369b74fbULL},
+      {"GoogleLike", "computer science department at stanford", 0xb9328585e9ecb7e8ULL},
+      {"BingLike", "alpha", 0x5764b3a148a6afc1ULL},
+      {"BingLike", "galaxy history", 0x6448ba85d7130f19ULL},
+      {"BingLike", "computer science department at stanford", 0x145cacd5ef8a3184ULL},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(dynamic_digest(c.service, c.keyword), c.digest)
+        << c.service << " '" << c.keyword << "' got 0x" << std::hex
+        << dynamic_digest(c.service, c.keyword);
+  }
+}
+
+TEST(ContentModel, TargetJustAboveMenuSizeFallsBackToMinimumResult) {
+  // An 80-character keyword makes the dynamic menu ~210 bytes, so the
+  // 256-byte minimum target lands within 64 bytes of it. The per-result
+  // budget must fall back to its 64-byte floor instead of wrapping.
+  ContentProfile profile;
+  profile.dynamic_base_bytes = 0;
+  profile.dynamic_per_word_bytes = 0;
+  profile.dynamic_size_sigma = 0.0;
+  const ContentModel m(profile, "S");
+  sim::RngStream rng(1);
+  const Keyword kw{std::string(80, 'k'), KeywordClass::kComplex, 1};
+  std::string body;
+  ASSERT_NO_THROW(body = m.dynamic_body(kw, rng));
+  EXPECT_LT(body.size(), 4096u);
+  std::size_t results = 0;
+  for (std::size_t at = body.find("class=\"result\""); at != std::string::npos;
+       at = body.find("class=\"result\"", at + 1)) {
+    ++results;
+  }
+  EXPECT_EQ(results, profile.results_per_page);
+  EXPECT_NE(body.find("</html>"), std::string::npos);
 }
 
 }  // namespace
