@@ -15,8 +15,7 @@
 #include <string>
 #include <string_view>
 
-#include "analysis/boundary.hpp"
-#include "analysis/reassembly.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/timeline.hpp"
 #include "capture/serialize.hpp"
 #include "capture/spill.hpp"
@@ -81,20 +80,18 @@ int main(int argc, char** argv) {
   std::printf("stage 2: loaded %zu packets (node %u)\n", trace.size(),
               trace.node().value());
 
-  // Content analysis: reassemble every response and find the common prefix.
-  const capture::PacketTrace service = trace.filter_remote_port(80);
-  std::vector<std::string> responses;
-  for (const net::FlowId& flow : service.flows()) {
-    auto stream =
-        analysis::reassemble(service, flow, capture::Direction::kReceived);
-    if (!stream.empty()) responses.push_back(stream.bytes());
-  }
-  const std::size_t boundary = analysis::common_prefix_boundary(responses);
+  // Content analysis: replay the trace through the streaming analyzer's
+  // boundary probe, which finds the common prefix of every response.
+  analysis::StreamingAnalyzer probe(80);
+  probe.begin_boundary_probe();
+  trace.replay(probe);
+  const std::size_t responses = probe.probe_flows();
+  const std::size_t boundary = probe.finish_boundary_probe();
   std::printf("content analysis: %zu responses, static portion = %zu "
               "bytes\n",
-              responses.size(), boundary);
+              responses, boundary);
 
-  // Timeline extraction + inference.
+  // Timeline extraction (a replay through the same analyzer) + inference.
   const auto timelines = analysis::extract_all_timelines(trace, 80, boundary);
   const auto timings = core::timings_from_timelines(timelines);
   std::printf("\n%6s %9s %10s %11s %9s %22s\n", "query", "RTT", "Tstatic",

@@ -26,9 +26,8 @@ StreamingTimeline::StreamingTimeline(const net::FlowId& flow) {
 void StreamingTimeline::observe(const capture::PacketRecord& r) {
   const bool sent = r.direction == capture::Direction::kSent;
 
-  // Control-plane events: this chain must stay a verbatim mirror of
-  // timeline_from_conn() — same conditions, same else-if exclusivity — or
-  // streaming results drift from the post-hoc path.
+  // Control-plane events, first occurrence of each. The else-if chain is
+  // deliberate: one packet sets at most one event.
   if (sent && r.tcp.flags.syn && !saw_syn_) {
     tl_.tb = r.timestamp;
     client_iss_ = r.tcp.seq;
@@ -46,9 +45,10 @@ void StreamingTimeline::observe(const capture::PacketRecord& r) {
     saw_t2_ = true;
   }
 
-  // Received-side stream state, mirroring reassemble(): the normalizer is
-  // the *last* received SYN seq (+1), falling back to the minimum data
-  // seq; segments are kept raw because the base is only final at the end.
+  // Received-side stream state. The stream base is the *last* received
+  // SYN seq + 1, falling back to the minimum data seq (reassemble()'s
+  // normalization); segments are kept raw because the base is only final
+  // at the end.
   if (!sent) {
     if (r.tcp.flags.syn) rcv_iss_ = r.tcp.seq;
     if (r.payload_size > 0) {
@@ -73,7 +73,7 @@ QueryTimeline StreamingTimeline::finalize(std::size_t boundary) const {
     return tl;
   }
 
-  // Normalize segments exactly as reassemble() would over the full trace.
+  // Normalize segments against the final base.
   std::vector<ReassembledStream::Segment> segments;
   if (min_data_seq_) {
     const std::uint64_t base = rcv_iss_ ? *rcv_iss_ + 1 : *min_data_seq_;
@@ -125,7 +125,7 @@ void StreamingAnalyzer::on_packet(const capture::PacketRecord& record) {
 
   if (!slot.live) {
     // Flow already collapsed online. Teardown ACKs are inert by
-    // construction; anything else would have changed the post-hoc result.
+    // construction; anything else would have changed a deferred drain.
     if (!is_pure_ack(record)) ++late_packets_;
     return;
   }
@@ -283,7 +283,9 @@ void StreamingAnalyzer::apply_probe_segment(
   if (seq < base) return;  // pre-data sequence space (SYN)
   const std::size_t offset = static_cast<std::size_t>(seq - base);
   pf.full_length = std::max(pf.full_length, offset + payload_size);
-  if (payload.empty() || offset >= probe_cap_) return;
+  if (payload.empty()) return;
+  pf.payload_length = std::max(pf.payload_length, offset + payload.size());
+  if (offset >= probe_cap_) return;
 
   // Mirror reassemble()'s overwrite-copy, clipped to the shared cap: gaps
   // are '\0' filler until (and unless) a retransmission covers them.
@@ -380,7 +382,7 @@ std::size_t StreamingAnalyzer::finish_boundary_probe() {
   // Exact final scan over the settled buffers. Unlike the incremental
   // pass this includes '\0' gap filler, exactly as common_prefix_boundary
   // would see it in a fully reassembled string; and the reference is the
-  // first *non-empty* stream, matching the post-hoc responses vector.
+  // first *non-empty* stream.
   std::vector<const ProbeFlow*> nonempty;
   for (const ProbeFlow& f : probe_flows_) {
     if (f.full_length > 0) nonempty.push_back(&f);
@@ -396,10 +398,11 @@ std::size_t StreamingAnalyzer::finish_boundary_probe() {
       std::size_t p = 0;
       while (p < limit && ref.bytes[p] == f.bytes[p]) ++p;
       // No divergence inside the compared window: the pair's prefix runs
-      // to the shorter full stream. (If the window was clipped by the cap,
-      // some other pair diverged below it and owns the minimum.)
+      // to the shorter payload-covered stream (a headers-only capture has
+      // none). If the window was clipped by the cap, some other pair
+      // diverged below it and owns the minimum.
       const std::size_t cand =
-          p < limit ? p : std::min(ref.full_length, f.full_length);
+          p < limit ? p : std::min(ref.payload_length, f.payload_length);
       boundary = std::min(boundary, cand);
     }
   }

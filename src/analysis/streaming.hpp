@@ -1,24 +1,25 @@
-// Online (streaming) timeline extraction.
+// Packet-level timeline extraction (the paper's Fig.-2 events).
 //
-// The post-hoc pipeline retains every PacketRecord of a campaign and
-// reduces traces to Fig.-2 timelines afterwards, so memory grows with
-// total packets. The streaming pipeline reduces each flow *as packets are
-// captured*: a StreamingTimeline keeps only the control-event state machine
-// plus the received-side segment list (seq, length, timestamp — never
-// payload bytes), and once the static/dynamic boundary is known a finished
-// flow is collapsed to its QueryTimeline the moment its teardown is
-// observed. Campaign memory becomes O(in-flight flows), not O(packets).
+// StreamingAnalyzer is the one extractor that turns captured packets into
+// QueryTimelines. Live, it is a recorder's PacketSink and reduces each flow
+// as packets are captured: a StreamingTimeline keeps only the control-event
+// state machine plus the received-side segment list (seq, length,
+// timestamp — never payload bytes), and once the static/dynamic boundary is
+// known a finished flow collapses to its QueryTimeline the moment its
+// teardown is observed, so campaign memory is O(in-flight flows), not
+// O(packets). Post-hoc, a stored capture (in memory or spilled to .dtrc) is
+// replayed through a fresh analyzer and drained once with the boundary:
+// extract_all_timelines() and capture-mode experiments are that replay.
 //
-// Equivalence contract: for any capture, drain() must produce timelines
-// byte-identical to extract_all_timelines() over the retained trace —
-// including invalid_reason strings and the order of validity checks. The
-// implementation guarantees this by construction: the per-packet control
-// scan mirrors timeline_from_conn's else-if chain exactly, segment
-// normalization mirrors reassemble() (base = last received SYN seq + 1,
-// else min data seq; seq < base skipped), and the response-data events are
-// computed by the very same finish_timeline_from_stream() the post-hoc
-// path uses. Tests in tests/streaming_test.cpp enforce tolerance-0
-// equality on out-of-order, retransmitted and interleaved inputs.
+// Collapse at teardown and a deferred drain give identical timelines,
+// including invalid_reason strings: finalize() is pure, and the
+// response-data events come from finish_timeline_from_stream(), which the
+// span-based reconstruction in the observability tooling shares.
+// tests/streaming_test.cpp checks both at tolerance 0 on out-of-order,
+// retransmitted and interleaved inputs and pins them with golden digests.
+//
+// The same analyzer discovers the boundary: its probe mode compares
+// clipped response prefixes across flows (see begin_boundary_probe()).
 #pragma once
 
 #include <cstdint>
@@ -41,8 +42,8 @@ namespace dyncdn::analysis {
 /// Incremental Fig.-2 timeline builder for one TCP flow.
 ///
 /// Feed it every packet of the flow in capture order via observe(); call
-/// finalize() once (teardown seen, or at drain time) to obtain the same
-/// QueryTimeline the post-hoc extract_timeline() would produce.
+/// finalize() (teardown seen, or at drain time) to obtain the flow's
+/// QueryTimeline. extract_timeline() runs one over a stored flow.
 class StreamingTimeline {
  public:
   explicit StreamingTimeline(const net::FlowId& flow);
@@ -83,8 +84,8 @@ class StreamingTimeline {
 };
 
 /// Multi-flow streaming analyzer: a capture::PacketSink that groups packets
-/// by connection (first-appearance order, matching split_by_flow) and
-/// emits QueryTimelines online.
+/// by connection (first-appearance order) and emits QueryTimelines online,
+/// or at drain() when fed by a replay.
 ///
 /// Boundary lifecycle: until set_boundary() is called, completed flows stay
 /// buffered (their timeline depends on the static/dynamic split). After
@@ -112,8 +113,8 @@ class StreamingAnalyzer final : public capture::PacketSink {
   bool has_boundary() const { return boundary_.has_value(); }
 
   /// Finalize every remaining flow and return all timelines in
-  /// first-appearance order (identical to extract_all_timelines over the
-  /// equivalent retained trace). Resets the flow table; keeps the boundary.
+  /// first-appearance order (identical whether a flow collapsed online or
+  /// is finalized here). Resets the flow table; keeps the boundary.
   std::vector<QueryTimeline> drain(std::size_t boundary);
 
   /// Deterministic live footprint (builders + buffered timelines).
@@ -132,14 +133,15 @@ class StreamingAnalyzer final : public capture::PacketSink {
   /// While a probe is active, packets do NOT feed the timeline flow table —
   /// probe traffic must never surface in drain(). finish_boundary_probe()
   /// returns the longest common prefix across all non-empty response
-  /// streams, byte-identical to common_prefix_boundary() over the fully
-  /// reassembled responses (including '\0' gap filler), or 0 when fewer
-  /// than two streams carried data. Requires payload capture upstream.
+  /// streams — the value common_prefix_boundary() gives over the fully
+  /// reassembled responses, '\0' gap filler included — or 0 when fewer
+  /// than two streams carried data. Needs payload capture upstream: over
+  /// a headers-only capture there is no content and the result is 0.
   void begin_boundary_probe();
   std::size_t finish_boundary_probe();
   bool probing() const { return probing_; }
-  /// Response streams with data seen by the active probe (the equivalent of
-  /// the post-hoc path's non-empty reassembled-responses count).
+  /// Response streams with data seen by the active probe (the number of
+  /// non-empty reassembled responses).
   std::size_t probe_flows() const;
 
   /// Flows collapsed online (at teardown, before drain).
@@ -147,7 +149,7 @@ class StreamingAnalyzer final : public capture::PacketSink {
 
   /// Non-trivial packets (anything but a pure ACK) that arrived for a flow
   /// already collapsed online. Always 0 in correct operation; a nonzero
-  /// value means the streaming result may diverge from post-hoc analysis.
+  /// value means online collapse may differ from a deferred drain.
   std::uint64_t late_packets() const { return late_packets_; }
 
   net::Port server_port() const { return server_port_; }
@@ -159,8 +161,8 @@ class StreamingAnalyzer final : public capture::PacketSink {
     std::optional<QueryTimeline> done;
   };
 
-  /// One response stream under boundary probing: a clipped mirror of what
-  /// reassemble() would build, plus the bookkeeping needed to compare it
+  /// One response stream under boundary probing: a clipped copy of its
+  /// reassembled prefix, plus the bookkeeping needed to compare it
   /// incrementally against the reference flow.
   struct ProbeFlow {
     net::FlowId flow;
@@ -176,10 +178,13 @@ class StreamingAnalyzer final : public capture::PacketSink {
       std::span<const std::uint8_t> bytes;
     };
     std::vector<PendingSegment> pending;
-    std::string bytes;  // clipped mirror of ReassembledStream::bytes()
+    std::string bytes;  // clipped ReassembledStream::bytes()
     std::vector<std::pair<std::size_t, std::size_t>> covered;  // merged
     std::size_t contig = 0;       // covered prefix is [0, contig)
     std::size_t full_length = 0;  // unclipped stream length
+    /// Unclipped extent of the bytes actually captured: what the content
+    /// comparison can see. 0 for a headers-only capture.
+    std::size_t payload_length = 0;
     std::size_t cmp = 0;          // bytes matched against flow 0 so far
     std::optional<std::size_t> mismatch;  // first divergence vs flow 0
   };

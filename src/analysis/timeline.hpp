@@ -45,7 +45,8 @@ struct QueryTimeline {
 };
 
 /// Extract the timeline for `flow` from a client-side trace, splitting the
-/// response at `boundary` stream bytes (from common_prefix_boundary()).
+/// response at `boundary` stream bytes (the static-portion length): one
+/// StreamingTimeline (analysis/streaming.hpp) run over the flow's records.
 /// The trace must contain the connection's handshake and data packets.
 QueryTimeline extract_timeline(const capture::PacketTrace& trace,
                                const net::FlowId& flow, std::size_t boundary);
@@ -53,15 +54,16 @@ QueryTimeline extract_timeline(const capture::PacketTrace& trace,
 /// Fill the response-data events (t3, t4, t5, te) of `tl` from an
 /// already-reassembled receive stream, including the packet-granularity
 /// boundary snap, and set `tl.valid`. The control events (tb, t_synack,
-/// t1, t2) must already be set by the caller. Shared by extract_timeline
+/// t1, t2) must already be set by the caller. Shared by StreamingTimeline
 /// and the span-based reconstruction in the observability tooling, so both
-/// paths agree bit-for-bit.
+/// observers agree bit-for-bit.
 void finish_timeline_from_stream(QueryTimeline& tl,
                                  const ReassembledStream& stream,
                                  std::size_t boundary);
 
 /// Extract timelines for every flow in the trace towards `server_port`
-/// (one per query connection), e.g. all port-80 connections of a node.
+/// (one per query connection, first-appearance order), e.g. all port-80
+/// connections of a node: the trace replayed through a StreamingAnalyzer.
 std::vector<QueryTimeline> extract_all_timelines(
     const capture::PacketTrace& trace, net::Port server_port,
     std::size_t boundary);

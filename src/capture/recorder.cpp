@@ -29,13 +29,13 @@ void TraceRecorder::set_spill(SpillWriter* spill, std::size_t budget_bytes) {
   spill_budget_ = spill != nullptr ? budget_bytes : 0;
 }
 
-PacketTrace TraceRecorder::full_trace() {
-  if (spill_ == nullptr || !has_spilled_) return trace_;
-  spill_->finish();
-  SpillReader reader(spill_->path());
-  PacketTrace full = reader.read_all();
-  for (const auto& r : trace_.records()) full.add(r);
-  return full;
+void TraceRecorder::replay(PacketSink& sink) {
+  if (spill_ != nullptr && has_spilled_) {
+    spill_->finish();
+    SpillReader(spill_->path())
+        .for_each_record([&sink](const PacketRecord& r) { sink.on_packet(r); });
+  }
+  trace_.replay(sink);
 }
 
 void TraceRecorder::record(Direction direction, const net::PacketPtr& packet) {

@@ -12,25 +12,6 @@ namespace dyncdn::capture {
 
 class SpillWriter;  // capture/spill.hpp
 
-/// Observer of packets as a recorder sees them. The streaming analysis
-/// pipeline implements this to reduce traffic to timelines online without
-/// the capture layer depending on analysis.
-class PacketSink {
- public:
-  virtual ~PacketSink() = default;
-
-  /// Called once per captured packet, in capture order. The record (and any
-  /// retained payload reference) is only guaranteed valid for the duration
-  /// of the call; sinks must copy what they keep.
-  virtual void on_packet(const PacketRecord& record) = 0;
-
-  /// Called when the recorder's buffer is discarded (warm-up, phase
-  /// boundaries). Sinks should drop in-flight per-flow state so the next
-  /// phase starts clean, mirroring what a post-hoc analyzer of the cleared
-  /// trace would see.
-  virtual void on_clear() = 0;
-};
-
 struct RecorderOptions {
   /// Retain full payload bytes (needed for content analysis). Headers-only
   /// captures are cheaper for long load experiments.
@@ -92,11 +73,12 @@ class TraceRecorder {
   /// last clear() (i.e. trace() alone is an incomplete view).
   bool has_spilled() const { return has_spilled_; }
 
-  /// The complete capture: the spilled prefix reloaded from disk followed
-  /// by the in-memory tail. Finalizes the spill file (further capture
+  /// Feed the complete capture to `sink` in capture order: the spilled
+  /// prefix streamed back from disk, then the in-memory tail. No copy of
+  /// the whole trace is built. Finalizes the spill file (further capture
   /// requires clear(), which restarts it). When nothing has spilled this
-  /// is simply a copy of trace().
-  PacketTrace full_trace();
+  /// is trace().replay(sink).
+  void replay(PacketSink& sink);
 
   /// High-water mark of trace_.retained_bytes() across the recorder's
   /// lifetime (clear() does not rewind it) — the deterministic measure of

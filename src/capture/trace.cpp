@@ -1,6 +1,5 @@
 #include "capture/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "mem/flat_table.hpp"
@@ -56,29 +55,19 @@ PacketTrace PacketTrace::filter_remote_port(net::Port port) const {
   });
 }
 
-std::vector<std::pair<net::FlowId, PacketTrace>> PacketTrace::split_by_flow(
-    std::optional<net::Port> remote_port) const {
-  std::vector<std::pair<net::FlowId, PacketTrace>> out;
+std::vector<net::FlowId> PacketTrace::flows() const {
+  std::vector<net::FlowId> out;
   mem::FlatMap<net::FlowId, std::size_t> index;
   for (std::size_t i = 0; i < size(); ++i) {
-    const PacketRecordView r = view(i);
-    const net::FlowId f = r.flow_at_capture_node();
-    if (remote_port && f.remote.port != *remote_port) continue;
-    const auto [slot, inserted] = index.try_emplace(f, out.size());
-    if (inserted) out.emplace_back(f, PacketTrace(node_));
-    out[*slot].second.add(r);
+    const net::FlowId f =
+        flow_at_capture(directions_[i], srcs_[i], dsts_[i], tcps_[i]);
+    if (index.try_emplace(f, out.size()).second) out.push_back(f);
   }
   return out;
 }
 
-std::vector<net::FlowId> PacketTrace::flows() const {
-  std::vector<net::FlowId> out;
-  for (std::size_t i = 0; i < size(); ++i) {
-    const net::FlowId f =
-        flow_at_capture(directions_[i], srcs_[i], dsts_[i], tcps_[i]);
-    if (std::find(out.begin(), out.end(), f) == out.end()) out.push_back(f);
-  }
-  return out;
+void PacketTrace::replay(PacketSink& sink) const {
+  for (std::size_t i = 0; i < size(); ++i) sink.on_packet(view(i).to_record());
 }
 
 std::string PacketTrace::to_text() const {

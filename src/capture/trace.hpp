@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,6 +77,11 @@ struct PacketRecordView {
   std::size_t payload_size;
   const net::PayloadRef& payload;
 
+  /// A standalone copy (the payload reference is shared, not copied).
+  PacketRecord to_record() const {
+    return PacketRecord{timestamp, direction,    src,    dst,
+                        tcp,       payload_size, payload};
+  }
   net::FlowId flow_at_capture_node() const {
     return flow_at_capture(direction, src, dst, tcp);
   }
@@ -85,6 +89,26 @@ struct PacketRecordView {
     return record_to_string(timestamp, direction, src, dst, tcp,
                             payload_size);
   }
+};
+
+/// Observer of packets in capture order: fed live by a TraceRecorder, or
+/// afterwards by replaying a stored capture. The streaming analysis
+/// pipeline implements this to reduce traffic to timelines without the
+/// capture layer depending on analysis.
+class PacketSink {
+ public:
+  virtual ~PacketSink() = default;
+
+  /// Called once per captured packet, in capture order. The record (and any
+  /// retained payload reference) is only guaranteed valid for the duration
+  /// of the call; sinks must copy what they keep.
+  virtual void on_packet(const PacketRecord& record) = 0;
+
+  /// Called when the recorder's buffer is discarded (warm-up, phase
+  /// boundaries). Sinks should drop in-flight per-flow state so the next
+  /// phase starts clean, mirroring what an analysis of the cleared trace
+  /// would see.
+  virtual void on_clear() = 0;
 };
 
 /// An ordered sequence of packet records captured at one node (SoA).
@@ -203,17 +227,14 @@ class PacketTrace {
   /// all web traffic regardless of ephemeral client port).
   PacketTrace filter_remote_port(net::Port port) const;
 
-  /// All records grouped by connection (flow keyed from the capture node's
-  /// perspective), in order of first appearance, built in one pass.
-  /// Optionally keeps only flows whose remote endpoint uses `remote_port`.
-  /// Per-connection analysis over a long trace should prefer this to
-  /// filter_flow() per flow, which rescans the whole trace each time.
-  std::vector<std::pair<net::FlowId, PacketTrace>> split_by_flow(
-      std::optional<net::Port> remote_port = std::nullopt) const;
-
   /// Distinct flows present, keyed from the capture node's perspective,
-  /// in order of first appearance.
+  /// in order of first appearance (one pass).
   std::vector<net::FlowId> flows() const;
+
+  /// Feed every record to `sink`, in capture order — the same calls the
+  /// recorder made while capturing. Post-hoc analysis is a replay into a
+  /// streaming analyzer.
+  void replay(PacketSink& sink) const;
 
   /// Multi-line human-readable dump.
   std::string to_text() const;

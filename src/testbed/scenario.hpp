@@ -49,7 +49,7 @@ struct ScenarioOptions {
   /// scenario retains packets, each client recorder gets a SpillWriter;
   /// once its buffer's retained_bytes reaches the budget the buffer
   /// streams to a .dtrc file and resets, so capture memory stays bounded
-  /// while analysis still sees the complete trace (recorder full_trace()).
+  /// while analysis still sees the complete trace (recorder replay()).
   /// 0 = DYNCDN_CAPTURE_BUDGET if set, else unlimited (no spilling).
   std::size_t capture_budget = 0;
   /// Directory for the per-client spill files. Empty = a scenario-owned

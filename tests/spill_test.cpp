@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/reassembly.hpp"
@@ -59,6 +60,23 @@ class HarnessTeardown : public ::testing::Environment {
 const auto* const kTeardown =
     ::testing::AddGlobalTestEnvironment(new HarnessTeardown);
 
+/// Collects every record a replay feeds it, in order.
+class TraceCollector final : public PacketSink {
+ public:
+  explicit TraceCollector(net::NodeId node) : trace(node) {}
+  void on_packet(const PacketRecord& r) override { trace.add(r); }
+  void on_clear() override { trace.clear(); }
+  PacketTrace trace;
+};
+
+/// The recorder's complete capture (spilled prefix + in-memory tail), as
+/// its replay() delivers it.
+PacketTrace replayed(TraceRecorder& r) {
+  TraceCollector sink(r.trace().node());
+  r.replay(sink);
+  return std::move(sink.trace);
+}
+
 PacketTrace make_real_trace(bool payloads, int connections = 1,
                             SpillWriter* spill = nullptr,
                             std::size_t budget = 0,
@@ -84,7 +102,7 @@ PacketTrace make_real_trace(bool payloads, int connections = 1,
   }
   harness->simulator.run();
   if (recorder_out != nullptr) *recorder_out = recorder.get();
-  return recorder->full_trace();
+  return replayed(*recorder);
 }
 
 void expect_traces_equal(const PacketTrace& a, const PacketTrace& b,
@@ -370,9 +388,9 @@ TEST(SpillFormat, OnClearRestartsFileAndKeepsCumulativeStats) {
 
 TEST(SpillRecorder, BudgetedCaptureEqualsInMemoryCapture) {
   // Unbudgeted reference run, then an identical deterministic run with a
-  // budget small enough to force several mid-run spills: full_trace()
-  // (spilled prefix reloaded from disk + in-memory tail) must be
-  // byte-identical to the in-memory capture.
+  // budget small enough to force several mid-run spills: replay()
+  // (spilled prefix streamed from disk + in-memory tail) must deliver
+  // records byte-identical to the in-memory capture.
   const PacketTrace reference = make_real_trace(true, 4);
   const std::size_t budget = reference.retained_bytes() / 5;
   ASSERT_GT(budget, 0u);
@@ -415,7 +433,7 @@ TEST(SpillRecorder, ClearResetsSpilledState) {
   recorder->clear();
   EXPECT_FALSE(recorder->has_spilled());
   EXPECT_TRUE(recorder->trace().empty());
-  EXPECT_TRUE(recorder->full_trace().empty());
+  EXPECT_TRUE(replayed(*recorder).empty());
   EXPECT_FALSE(spill.finished());  // restarted, ready for the next phase
   std::remove(path.c_str());
 }

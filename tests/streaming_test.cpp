@@ -1,16 +1,21 @@
-// Streaming-analysis equivalence tests: the online pipeline
-// (StreamingAnalyzer fed packet-by-packet through the capture sink) must
-// produce timelines, experiment TSVs and metrics byte-identical to the
-// post-hoc path (retained PacketTrace -> split_by_flow -> extract_timeline)
-// at tolerance 0 — including invalid_reason strings — on clean, reordered,
-// retransmitted and interleaved inputs, and at 1, 2 and 4 worker threads.
+// Streaming-analysis tests. StreamingAnalyzer is the only packet-level
+// timeline extractor: post-hoc analysis (extract_all_timelines, capture-mode
+// experiments) replays stored records through it and drains once with the
+// boundary. These tests check that collapsing flows online, at teardown,
+// gives the same timelines, experiment TSVs and metrics as that deferred
+// drain at tolerance 0 — including invalid_reason strings — on clean,
+// reordered, retransmitted and interleaved inputs, and at 1, 2 and 4 worker
+// threads. Golden digests pin every timeline field to the answers of the
+// earlier split-per-flow extractor, so the surviving path cannot drift.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/boundary.hpp"
@@ -64,6 +69,47 @@ void expect_timelines_eq(const std::vector<QueryTimeline>& streaming,
   }
 }
 
+/// 64-bit FNV-1a; the golden digests below are pinned in it.
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : s) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+/// One canonical text line per timeline — flow, valid, invalid_reason,
+/// every event time in nanoseconds, response_bytes and boundary — hashed.
+/// The golden pins below were computed with the split-per-flow extractor
+/// that replay through StreamingAnalyzer replaced.
+std::uint64_t timelines_digest(const std::vector<QueryTimeline>& timelines) {
+  std::string text;
+  for (const QueryTimeline& tl : timelines) {
+    text += tl.flow.to_string() + '|' + (tl.valid ? "1" : "0") + '|' +
+            tl.invalid_reason;
+    for (const SimTime t : {tl.tb, tl.t_synack, tl.t1, tl.t2, tl.t3, tl.t4,
+                            tl.t5, tl.te}) {
+      text += '|' + std::to_string(t.ns());
+    }
+    text += '|' + std::to_string(tl.response_bytes) + '|' +
+            std::to_string(tl.boundary) + '\n';
+  }
+  return fnv1a(text);
+}
+
+/// The post-hoc answers for `trace` match their golden digest, and the
+/// single-flow extractor agrees with the all-flows replay on every flow.
+void expect_post_hoc(const capture::PacketTrace& trace,
+                     const std::vector<QueryTimeline>& post_hoc,
+                     std::size_t boundary, std::uint64_t golden) {
+  EXPECT_EQ(timelines_digest(post_hoc), golden)
+      << "actual digest 0x" << std::hex << timelines_digest(post_hoc);
+  for (const QueryTimeline& tl : post_hoc) {
+    expect_timeline_eq(extract_timeline(trace, tl.flow, boundary), tl,
+                       "extract_timeline");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Harness-level equivalence: the recorder both retains the trace AND feeds
 // the analyzer, so post-hoc and streaming analysis see the exact same
@@ -112,10 +158,12 @@ struct StreamingFixture {
     h.simulator.run();
   }
 
-  /// Both pipelines over the identical capture, compared at tolerance 0.
-  void expect_equivalent(std::size_t boundary) {
+  /// Post-hoc replay of the retained trace matches its golden digest, and
+  /// the live analyzer's drain matches it at tolerance 0.
+  void expect_equivalent(std::size_t boundary, std::uint64_t golden) {
     const auto post_hoc =
         extract_all_timelines(recorder->trace(), kPort, boundary);
+    expect_post_hoc(recorder->trace(), post_hoc, boundary, golden);
     const auto streaming = analyzer->drain(boundary);
     expect_timelines_eq(streaming, post_hoc);
     EXPECT_EQ(analyzer->late_packets(), 0u);
@@ -132,7 +180,7 @@ TEST(StreamingEquivalence, CleanFlow) {
   fe.static_part = pattern_text(4000);
   fe.dynamic_part = pattern_text(6000);
   f.run_queries(fe, 1);
-  f.expect_equivalent(4000);
+  f.expect_equivalent(4000, 0x67186b32ae4b4fdfULL);
 }
 
 TEST(StreamingEquivalence, RetransmissionAfterDrop) {
@@ -143,7 +191,7 @@ TEST(StreamingEquivalence, RetransmissionAfterDrop) {
   fe.static_part = pattern_text(8 * 1448);
   fe.dynamic_part = pattern_text(2000);
   f.run_queries(fe, 1);
-  f.expect_equivalent(8 * 1448);
+  f.expect_equivalent(8 * 1448, 0xc194c26e776c7edbULL);
 }
 
 TEST(StreamingEquivalence, HeadDropMakesDataArriveOutOfOrder) {
@@ -154,7 +202,7 @@ TEST(StreamingEquivalence, HeadDropMakesDataArriveOutOfOrder) {
   fe.static_part = pattern_text(6 * 1448);
   fe.dynamic_part = pattern_text(1500);
   f.run_queries(fe, 1);
-  f.expect_equivalent(6 * 1448);
+  f.expect_equivalent(6 * 1448, 0x98f4bda475e98335ULL);
 }
 
 TEST(StreamingEquivalence, RandomLossAndReordering) {
@@ -167,7 +215,7 @@ TEST(StreamingEquivalence, RandomLossAndReordering) {
   fe.static_part = pattern_text(12 * 1448);
   fe.dynamic_part = pattern_text(5000);
   f.run_queries(fe, 1);
-  f.expect_equivalent(12 * 1448);
+  f.expect_equivalent(12 * 1448, 0x70be45a6f48509e9ULL);
 }
 
 TEST(StreamingEquivalence, InterleavedConcurrentFlows) {
@@ -176,8 +224,8 @@ TEST(StreamingEquivalence, InterleavedConcurrentFlows) {
   fe.static_part = pattern_text(3000);
   fe.dynamic_part = pattern_text(3000);
   f.run_queries(fe, 4);  // four connections share the link concurrently
-  // Order must match split_by_flow's first-appearance order.
-  f.expect_equivalent(3000);
+  // Both sides list flows in first-appearance order.
+  f.expect_equivalent(3000, 0x86f127992a093478ULL);
 }
 
 TEST(StreamingEquivalence, WrongBoundaryStillMatchesIncludingReason) {
@@ -189,6 +237,7 @@ TEST(StreamingEquivalence, WrongBoundaryStillMatchesIncludingReason) {
   // Boundary 0 and boundary beyond the stream both yield invalid
   // timelines; the invalid_reason strings must match the post-hoc path.
   const auto post_hoc = extract_all_timelines(f.recorder->trace(), kPort, 0);
+  expect_post_hoc(f.recorder->trace(), post_hoc, 0, 0x638a4784c6c838e4ULL);
   const auto streaming = f.analyzer->drain(0);
   expect_timelines_eq(streaming, post_hoc);
   ASSERT_FALSE(streaming.empty());
@@ -248,8 +297,9 @@ struct SyntheticCapture {
     feed(make(false, at_us + 100, srv_seq + 1, cli_seq + 1, 0, {.ack = true}));
   }
 
-  void expect_equivalent(std::size_t boundary) {
+  void expect_equivalent(std::size_t boundary, std::uint64_t golden) {
     const auto post_hoc = extract_all_timelines(trace, kPort, boundary);
+    expect_post_hoc(trace, post_hoc, boundary, golden);
     const auto streaming = analyzer.drain(boundary);
     expect_timelines_eq(streaming, post_hoc);
   }
@@ -263,7 +313,7 @@ TEST(StreamingSynthetic, OverlappingRetransmission) {
   c.feed(c.make(false, 2500, 1001, 121, 1000, {.ack = true}));
   c.feed(c.make(false, 3000, 2001, 121, 500, {.ack = true}));
   c.teardown(4000, 2501, 121);
-  c.expect_equivalent(1200);
+  c.expect_equivalent(1200, 0x37988efe7715a89aULL);
 }
 
 TEST(StreamingSynthetic, OutOfOrderSegments) {
@@ -274,7 +324,7 @@ TEST(StreamingSynthetic, OutOfOrderSegments) {
   c.feed(c.make(false, 2200, 501, 121, 1000, {.ack = true}));
   c.feed(c.make(false, 2300, 2501, 121, 700, {.ack = true}));
   c.teardown(3000, 3201, 121);
-  c.expect_equivalent(1000);
+  c.expect_equivalent(1000, 0xde79429fd99af662ULL);
 }
 
 TEST(StreamingSynthetic, MissingSynFallsBackToMinSeq) {
@@ -285,7 +335,7 @@ TEST(StreamingSynthetic, MissingSynFallsBackToMinSeq) {
   c.feed(c.make(false, 2000, 501, 121, 1000, {.ack = true}));
   c.feed(c.make(false, 2100, 1501, 121, 500, {.ack = true}));
   c.teardown(3000, 2001, 121);
-  c.expect_equivalent(800);
+  c.expect_equivalent(800, 0xed2be39a748eb1a8ULL);
 }
 
 TEST(StreamingSynthetic, DuplicateSynUsesLastReceivedIss) {
@@ -299,7 +349,7 @@ TEST(StreamingSynthetic, DuplicateSynUsesLastReceivedIss) {
   c.feed(c.make(false, 1400, 501, 121, 0, {.ack = true}));
   c.feed(c.make(false, 2000, 501, 121, 1000, {.ack = true}));
   c.teardown(3000, 1501, 121);
-  c.expect_equivalent(400);
+  c.expect_equivalent(400, 0xf78012602d7fb460ULL);
 }
 
 TEST(StreamingSynthetic, RstTerminatedFlow) {
@@ -307,7 +357,7 @@ TEST(StreamingSynthetic, RstTerminatedFlow) {
   c.handshake_and_get();
   c.feed(c.make(false, 2000, 501, 121, 1000, {.ack = true}));
   c.feed(c.make(false, 2500, 1501, 121, 0, {.ack = true, .rst = true}));
-  c.expect_equivalent(600);
+  c.expect_equivalent(600, 0x8d98ce4e4771179aULL);
 }
 
 TEST(StreamingSynthetic, OtherPortsAreIgnoredByBothPaths) {
@@ -319,7 +369,7 @@ TEST(StreamingSynthetic, OtherPortsAreIgnoredByBothPaths) {
   c.feed(stray);
   c.feed(c.make(false, 2000, 501, 121, 800, {.ack = true}));
   c.teardown(3000, 1301, 121);
-  c.expect_equivalent(500);
+  c.expect_equivalent(500, 0xfe5f914fbba7064cULL);
   EXPECT_EQ(c.analyzer.late_packets(), 0u);
 }
 
@@ -375,12 +425,14 @@ struct ProbeCapture {
     feed(make(client_port, false, at_us, seq, 121, text, {.ack = true}));
   }
 
-  /// Ground truth: the post-hoc path over the identical record list.
+  /// Independent reference: full reassembly of every response over the
+  /// identical record list, then the common prefix of their contents.
   std::size_t post_hoc_boundary() const {
     std::vector<std::string> responses;
-    for (const auto& [flow, conn] : trace.split_by_flow(kPort)) {
+    for (const net::FlowId& flow : trace.flows()) {
+      if (flow.remote.port != kPort) continue;
       ReassembledStream stream =
-          reassemble(conn, flow, capture::Direction::kReceived);
+          reassemble(trace, flow, capture::Direction::kReceived);
       if (!stream.empty()) responses.push_back(stream.bytes());
     }
     return common_prefix_boundary(responses);
@@ -451,6 +503,27 @@ TEST(StreamingBoundaryProbe, ShorterResponseBoundsThePrefix) {
   EXPECT_EQ(c.analyzer.finish_boundary_probe(), expected);
 }
 
+TEST(StreamingBoundaryProbe, HeadersOnlyCaptureHasNoBoundary) {
+  ProbeCapture c;
+  c.analyzer.begin_boundary_probe();
+  // Payload sizes without payload bytes: there is no content to compare,
+  // so neither the reference nor the probe may report a prefix — not even
+  // the shorter stream's length.
+  c.server_syn(40001, 1000);
+  c.server_syn(40002, 1100);
+  capture::PacketRecord a =
+      c.make(40001, false, 2000, 501, 121, "", {.ack = true});
+  a.payload_size = 500;
+  c.feed(a);
+  capture::PacketRecord b =
+      c.make(40002, false, 2100, 501, 121, "", {.ack = true});
+  b.payload_size = 180;
+  c.feed(b);
+  EXPECT_EQ(c.analyzer.probe_flows(), 2u);
+  EXPECT_EQ(c.post_hoc_boundary(), 0u);
+  EXPECT_EQ(c.analyzer.finish_boundary_probe(), 0u);
+}
+
 TEST(StreamingBoundaryProbe, ThreeFlowsTakeTheEarliestDivergence) {
   ProbeCapture c;
   c.analyzer.begin_boundary_probe();
@@ -501,7 +574,7 @@ TEST(StreamingOnline, BoundaryEnablesCollapseAtTeardown) {
   // Collapsing frees the builder: live footprint drops to one timeline.
   EXPECT_LT(c.analyzer.live_bytes(), live_before);
   EXPECT_EQ(c.analyzer.live_bytes(), sizeof(QueryTimeline));
-  c.expect_equivalent(600);
+  c.expect_equivalent(600, 0x8d98ce4e4771179aULL);
   EXPECT_EQ(c.analyzer.late_packets(), 0u);
 }
 
@@ -513,7 +586,7 @@ TEST(StreamingOnline, LateBoundaryCollapsesBufferedFlows) {
   EXPECT_EQ(c.analyzer.timelines_emitted_online(), 0u);  // no boundary yet
   c.analyzer.set_boundary(600);
   EXPECT_EQ(c.analyzer.timelines_emitted_online(), 1u);
-  c.expect_equivalent(600);
+  c.expect_equivalent(600, 0x8d98ce4e4771179aULL);
 }
 
 TEST(StreamingOnline, TrailingPureAckIsInertLateDataCounts) {
@@ -623,6 +696,24 @@ void expect_results_identical(const testbed::ExperimentResult& a,
             obs::export_prometheus(b.metrics));
 }
 
+/// The boundary and every per-query timing, doubles printed exactly (%a),
+/// hashed. Pins the capture-mode experiment to the answers of the earlier
+/// split-per-flow extractor.
+std::uint64_t results_digest(const testbed::ExperimentResult& r) {
+  std::string text = std::to_string(r.boundary) + '\n';
+  char row[256];
+  for (const auto& node : r.per_node_timings) {
+    for (const core::QueryTimings& q : node) {
+      std::snprintf(row, sizeof(row), "%a|%a|%a|%a|%a|%zu|%zu\n", q.rtt_ms,
+                    q.t_static_ms, q.t_dynamic_ms, q.t_delta_ms, q.overall_ms,
+                    q.static_bytes, q.dynamic_bytes);
+      text += row;
+    }
+    text += "--\n";
+  }
+  return fnv1a(text);
+}
+
 TEST(StreamingExperiment, ByteIdenticalToCaptureAt1_2_4Threads) {
   const auto options = small_experiment();
 
@@ -655,6 +746,8 @@ TEST(StreamingExperiment, ByteIdenticalUnderClientLinkLoss) {
   testbed::Scenario cap(capture_opt);
   cap.warm_up();
   const auto a = testbed::run_fixed_fe_experiment(cap, 0, options);
+  EXPECT_EQ(results_digest(a), 0x1d3cc903b590e6fcULL)
+      << "actual digest 0x" << std::hex << results_digest(a);
   testbed::Scenario str(stream_opt);
   str.warm_up();
   const auto b = testbed::run_fixed_fe_experiment(str, 0, options);
@@ -671,7 +764,7 @@ TEST(StreamingExperiment, DiscoverBoundaryMatchesCaptureMode) {
   testbed::Scenario str(small_scenario(true));
   str.warm_up();
   const std::size_t probed = testbed::discover_boundary(str, 0, 0);
-  EXPECT_GT(post_hoc, 0u);
+  EXPECT_EQ(post_hoc, 9033u);  // golden: full reassembly of each response
   EXPECT_EQ(probed, post_hoc);
 }
 

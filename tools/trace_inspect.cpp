@@ -51,9 +51,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/boundary.hpp"
 #include "analysis/reassembly.hpp"
 #include "analysis/span_attribution.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/timeline.hpp"
 #include "capture/serialize.hpp"
 #include "capture/spill.hpp"
@@ -265,6 +265,19 @@ std::vector<SpanTimeline> reconstruct_timelines(
   return out;
 }
 
+/// Content-analysis boundary from a capture (0 when unavailable: fewer
+/// than two responses, or no payload bytes): the streaming analyzer's
+/// boundary probe over a replay of the capture's web traffic. `responses`,
+/// when given, receives the number of data-bearing responses.
+std::size_t boundary_from_capture(const capture::PacketTrace& trace,
+                                  std::size_t* responses = nullptr) {
+  analysis::StreamingAnalyzer probe(80);
+  probe.begin_boundary_probe();
+  trace.replay(probe);
+  if (responses != nullptr) *responses = probe.probe_flows();
+  return probe.finish_boundary_probe();
+}
+
 int diff_against_capture(const std::vector<SpanNode>& nodes,
                          const std::string& capture_path,
                          std::size_t boundary, const std::string& node_name) {
@@ -275,19 +288,7 @@ int diff_against_capture(const std::vector<SpanNode>& nodes,
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  const capture::PacketTrace web = trace.filter_remote_port(80);
-
-  if (boundary == 0) {
-    std::vector<std::string> responses;
-    for (const auto& flow : web.flows()) {
-      auto stream =
-          analysis::reassemble(web, flow, capture::Direction::kReceived);
-      if (!stream.bytes().empty()) responses.push_back(stream.bytes());
-    }
-    if (responses.size() >= 2) {
-      boundary = analysis::common_prefix_boundary(responses);
-    }
-  }
+  if (boundary == 0) boundary = boundary_from_capture(trace);
   if (boundary == 0) {
     std::fprintf(stderr,
                  "diff: no boundary available (trace lacks payloads); pass "
@@ -296,7 +297,7 @@ int diff_against_capture(const std::vector<SpanNode>& nodes,
   }
 
   std::vector<SpanTimeline> span_tls = reconstruct_timelines(nodes, boundary);
-  const auto capture_tls = analysis::extract_all_timelines(web, 80, boundary);
+  const auto capture_tls = analysis::extract_all_timelines(trace, 80, boundary);
 
   std::size_t compared = 0, mismatches = 0, unmatched = 0;
   for (const auto& ct : capture_tls) {
@@ -489,18 +490,6 @@ bool load_span_records(const std::string& path,
   return true;
 }
 
-/// Content-analysis boundary from a capture file (0 when unavailable).
-std::size_t boundary_from_capture(const capture::PacketTrace& web) {
-  std::vector<std::string> responses;
-  for (const auto& flow : web.flows()) {
-    auto stream =
-        analysis::reassemble(web, flow, capture::Direction::kReceived);
-    if (!stream.bytes().empty()) responses.push_back(stream.bytes());
-  }
-  return responses.size() >= 2 ? analysis::common_prefix_boundary(responses)
-                               : 0;
-}
-
 void print_attribution_table(const obs::QueryAttribution& attribution) {
   std::printf("queries=%" PRIu64 " reconcile_failures=%" PRIu64
               " skipped=%" PRIu64 "\n",
@@ -536,8 +525,7 @@ int diff_attribution(const analysis::SpanAttributionResult& result,
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  const capture::PacketTrace web = trace.filter_remote_port(80);
-  const auto capture_tls = analysis::extract_all_timelines(web, 80, boundary);
+  const auto capture_tls = analysis::extract_all_timelines(trace, 80, boundary);
 
   std::size_t compared = 0, mismatches = 0;
   for (const analysis::AttributedQuery& q : result.queries) {
@@ -607,7 +595,7 @@ int inspect_attribution(int argc, char** argv) {
   if (boundary == 0 && !diff_path.empty()) {
     try {
       const capture::PacketTrace trace = capture::load_trace(diff_path);
-      boundary = boundary_from_capture(trace.filter_remote_port(80));
+      boundary = boundary_from_capture(trace);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
@@ -880,17 +868,12 @@ int inspect_packets(int argc, char** argv) {
   std::size_t boundary =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 0;
   if (boundary == 0) {
-    std::vector<std::string> responses;
-    for (const auto& flow : flows) {
-      auto stream =
-          analysis::reassemble(web, flow, capture::Direction::kReceived);
-      if (!stream.bytes().empty()) responses.push_back(stream.bytes());
-    }
-    if (responses.size() >= 2) {
-      boundary = analysis::common_prefix_boundary(responses);
+    std::size_t responses = 0;
+    boundary = boundary_from_capture(web, &responses);
+    if (boundary != 0) {
       std::printf("content analysis: static portion = %zu bytes "
                   "(from %zu responses)\n",
-                  boundary, responses.size());
+                  boundary, responses);
     }
   }
   if (boundary == 0) {
