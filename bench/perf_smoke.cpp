@@ -591,7 +591,7 @@ int main(int argc, char** argv) {
   }
 
   // Experiment engine: a fixed-FE campaign sharded one-replica-per-vantage-
-  // point over the work-stealing executor; wall time per thread count gives
+  // point over the replica executor; wall time per thread count gives
   // the scaling curve. Runs the streaming (online-analysis) pipeline — the
   // product default; results are byte-identical to capture mode.
   testbed::ScenarioOptions scenario;

@@ -12,7 +12,6 @@
 
 #include "net/network.hpp"
 #include "parallel/replica.hpp"
-#include "parallel/worksteal.hpp"
 
 namespace dyncdn::parallel {
 
@@ -23,7 +22,7 @@ ShardRunner::ShardRunner(net::Network& network,
   if (sims_.empty()) {
     throw std::invalid_argument("ShardRunner: no shard simulators");
   }
-  threads_ = std::min(resolve_threads(ExecutorConfig{config.threads, 1}),
+  threads_ = std::min(resolve_threads(ExecutorConfig{config.threads}),
                       sims_.size());
 }
 
@@ -98,14 +97,10 @@ void ShardRunner::run_windowed(sim::SimTime bound) {
   } shared;
   shared.window_end = window_after(tmin);
 
-  // One deque per window holds each shard id exactly once; worker 0 owns
-  // it, the others steal. Refilled in the exclusive completion step.
-  StealDeque deque(n);
-  const auto refill = [&]() {
-    deque.reset();
-    for (std::size_t s = n; s > 0; --s) deque.prefill(s - 1);
-  };
-  refill();
+  // Each window's shard ids, claimable by any worker. Reset in the
+  // exclusive completion step.
+  ClaimRange shards;
+  shards.reset(0, n);
 
   std::vector<std::uint64_t> executed(n, 0);
   std::vector<std::exception_ptr> errors(n);
@@ -135,27 +130,18 @@ void ShardRunner::run_windowed(sim::SimTime bound) {
       return;
     }
     shared.window_end = window_after(next);
-    refill();
+    shards.reset(0, n);
   };
 
   const std::size_t workers = std::max<std::size_t>(1, threads_);
   std::barrier barrier(static_cast<std::ptrdiff_t>(workers), on_completion);
   std::atomic<std::uint64_t> stall_wall_ns{0};
 
-  const auto worker = [&](std::size_t w) {
+  const auto worker = [&]() {
     std::uint64_t my_stall_ns = 0;
     while (true) {
       std::size_t s = 0;
-      while (true) {
-        bool got = false;
-        if (w == 0) {
-          got = deque.pop(s);
-        } else {
-          const StealDeque::Steal r = deque.steal(s);
-          if (r == StealDeque::Steal::kLost) continue;  // retry the sweep
-          got = r == StealDeque::Steal::kItem;
-        }
-        if (!got) break;
+      while (shards.claim(s)) {
         try {
           executed[s] = sims_[s]->run_window(shared.window_end);
         } catch (...) {
@@ -178,8 +164,8 @@ void ShardRunner::run_windowed(sim::SimTime bound) {
 
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
-  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(worker, w);
-  worker(0);  // the caller is worker 0 (the deque owner)
+  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(worker);
+  worker();  // the caller is one of the workers
   for (std::thread& t : pool) t.join();
   stats_.stall_wall_ns += stall_wall_ns.load(std::memory_order_relaxed);
 

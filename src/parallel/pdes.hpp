@@ -14,12 +14,11 @@
 // deterministic link-creation order, the next window is computed, and the
 // cycle repeats.
 //
-// Scheduling composes with the work-stealing deque (worksteal.hpp): each
-// window's shard set is prefilled into one StealDeque; worker 0 pops while
-// the others steal, so an expensive shard never serializes the cheap ones
-// behind a static assignment. Which worker runs a shard never affects what
-// it computes — determinism comes from the fixed shard assignment and the
-// ordered mailbox flush, not from scheduling.
+// Scheduling: each window's shard ids form one ClaimRange (replica.hpp)
+// that every worker claims from, so an expensive shard never serializes
+// the cheap ones behind a static assignment. Which worker runs a shard
+// never affects what it computes — determinism comes from the fixed shard
+// assignment and the ordered mailbox flush, not from scheduling.
 //
 // Degenerate lookaheads:
 //  - one shard              -> literally the serial kernel loop;

@@ -33,22 +33,4 @@ std::size_t resolve_threads(const ExecutorConfig& config) {
   return hw > 0 ? hw : 1;
 }
 
-std::size_t resolve_grain(const ExecutorConfig& config) {
-  if (config.grain > 0) return config.grain;
-  if (const char* env = std::getenv("DYNCDN_GRAIN")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return 1;
-}
-
-bool grain_is_auto(const ExecutorConfig& config) {
-  if (config.grain > 0) return false;
-  if (const char* env = std::getenv("DYNCDN_GRAIN")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return false;
-  }
-  return true;
-}
-
 }  // namespace dyncdn::parallel

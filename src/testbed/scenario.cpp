@@ -85,14 +85,13 @@ Scenario::Scenario(ScenarioOptions options) : options_(std::move(options)) {
     sims_.push_back(extra_sims_.back().get());
   }
   if (options_.enable_tracing) {
-    trace_ = std::make_shared<obs::TraceSession>(options_.trace_ring_bytes);
+    trace_ = std::make_shared<obs::TraceSession>();
     simulator_->set_trace(trace_.get());
     // Shards 1..S-1 record into private sessions with disjoint id ranges
-    // (folded into trace_ by merge_shard_traces). No flight-recorder ring:
-    // the bounded binary dump stays a shard-0 feature.
+    // (folded into trace_ by merge_shard_traces).
     shard_traces_.resize(shards);
     for (std::size_t s = 1; s < shards; ++s) {
-      shard_traces_[s] = std::make_unique<obs::TraceSession>(0);
+      shard_traces_[s] = std::make_unique<obs::TraceSession>();
       shard_traces_[s]->set_id_base(static_cast<obs::SpanId>(s) << 40);
       sims_[s]->set_trace(shard_traces_[s].get());
     }

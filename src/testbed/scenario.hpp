@@ -100,9 +100,6 @@ struct ScenarioOptions {
   /// traced run is internally consistent but not byte-identical with an
   /// untraced one.
   bool enable_tracing = false;
-  /// When >0, completed spans also feed a bounded binary flight recorder
-  /// of this many bytes (obs::RingBuffer).
-  std::size_t trace_ring_bytes = 0;
 
   /// Sim-time metric sampling (obs::TimeSeriesSampler). When > 0, run()
   /// advances in `ts_interval` steps and snapshots queue depths /

@@ -60,9 +60,11 @@ struct ShardNet {
 
   net::Node& add(const std::string& name, std::uint32_t shard) {
     net::Node& n = network->add_node(name, {}, shard);
-    n.set_receive_handler([this, name, &n](const net::PacketPtr& p) {
-      logs[name].emplace_back(n.simulator().now().ns(), p->id,
-                              p->payload_size());
+    // Create the entry here, single-threaded: handlers on different shards
+    // run concurrently, and map insertion from them would race.
+    DeliveryLog& log = logs[name];
+    n.set_receive_handler([&log, &n](const net::PacketPtr& p) {
+      log.emplace_back(n.simulator().now().ns(), p->id, p->payload_size());
     });
     return n;
   }
