@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -45,7 +46,40 @@ std::size_t warmup_bytes_from_request(const http::HttpRequest& req) {
   return v;
 }
 
+/// One wire buffer holding a length-framed response: the head, with an
+/// explicit Content-Length so it matches serialize() byte for byte, then
+/// `body_len` bytes written in place by `fill`.
+template <class Fill>
+net::PayloadRef length_framed_wire(http::HttpResponse& resp,
+                                   std::size_t body_len, Fill&& fill) {
+  resp.set_header("Content-Length", std::to_string(body_len));
+  const std::string head = resp.serialize_head();
+  net::ByteBuf* buf = net::allocate_bytebuf(head.size() + body_len);
+  std::memcpy(buf->mutable_data(), head.data(), head.size());
+  fill(buf->mutable_data() + head.size());
+  return net::PayloadRef{net::Buffer::adopt(buf), 0, head.size() + body_len};
+}
+
 }  // namespace
+
+net::PayloadRef fetch_response_wire(std::uint64_t query_id,
+                                    std::string_view body) {
+  http::HttpResponse resp;
+  resp.set_header("X-Query-Id", std::to_string(query_id));
+  return length_framed_wire(resp, body.size(), [body](std::uint8_t* out) {
+    if (!body.empty()) std::memcpy(out, body.data(), body.size());
+  });
+}
+
+net::PayloadRef warmup_response_wire(std::uint64_t query_id,
+                                     std::size_t bytes) {
+  http::HttpResponse resp;
+  resp.set_header("X-Query-Id", std::to_string(query_id));
+  resp.set_header("X-Warmup", "1");
+  return length_framed_wire(resp, bytes, [bytes](std::uint8_t* out) {
+    std::memset(out, 'w', bytes);
+  });
+}
 
 BackendDataCenter::BackendDataCenter(net::Node& node,
                                      const search::ContentModel& content,
@@ -159,11 +193,10 @@ void BackendDataCenter::serve_fetch(tcp::TcpSocket& socket) {
 
         if (req.target.starts_with("/warmup")) {
           // Connection-priming transfer: bulk bytes, no processing delay.
-          http::HttpResponse resp;
-          resp.set_header("X-Query-Id", std::to_string(query_id));
-          resp.set_header("X-Warmup", "1");
-          resp.body.assign(warmup_bytes_from_request(req), 'w');
-          if (*alive) sock->send_text(resp.serialize());
+          if (*alive) {
+            sock->send(warmup_response_wire(query_id,
+                                            warmup_bytes_from_request(req)));
+          }
           return;
         }
 
@@ -176,11 +209,7 @@ void BackendDataCenter::serve_fetch(tcp::TcpSocket& socket) {
         process_query(keyword, query_id, trace_parent,
                       [sock, alive, query_id](std::string body) {
                         if (!*alive) return;  // FE connection died meanwhile
-                        http::HttpResponse resp;
-                        resp.set_header("X-Query-Id",
-                                        std::to_string(query_id));
-                        resp.body = std::move(body);
-                        sock->send_text(resp.serialize());
+                        sock->send(fetch_response_wire(query_id, body));
                       });
       });
 

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdn/load_model.hpp"
@@ -124,5 +125,16 @@ class BackendDataCenter {
   std::vector<BackendQueryRecord> query_log_;
   std::deque<std::string> recent_queries_;  // newest at the back
 };
+
+/// Wire bytes of the BE's length-framed fetch response to query
+/// `query_id`: one buffer, byte-identical to HttpResponse::serialize() of
+/// the same response, with `body` copied in once.
+net::PayloadRef fetch_response_wire(std::uint64_t query_id,
+                                    std::string_view body);
+
+/// Wire bytes of the BE's /warmup response: `bytes` of 'w' written
+/// straight into the wire buffer behind the head.
+net::PayloadRef warmup_response_wire(std::uint64_t query_id,
+                                     std::size_t bytes);
 
 }  // namespace dyncdn::cdn

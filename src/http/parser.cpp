@@ -90,7 +90,9 @@ void RequestParser::try_parse() {
     if (!req) return;
 
     const std::size_t body_len = parse_content_length(req->headers).value_or(0);
-    if (buffer_.size() < head_len + body_len) return;  // body incomplete
+    // Subtract on the side that cannot wrap: head_len <= buffer_.size(),
+    // while head_len + body_len overflows for a huge declared length.
+    if (buffer_.size() - head_len < body_len) return;  // body incomplete
 
     req->body = buffer_.substr(head_len, body_len);
     buffer_.erase(0, head_len + body_len);
@@ -110,8 +112,11 @@ void ResponseParser::feed(std::string_view bytes) {
         body_expected_ ? *body_expected_ - body_received_ : bytes.size();
     const std::size_t take = std::min(want, bytes.size());
     if (take > 0) {
-      if (callbacks_.on_body_data) callbacks_.on_body_data(bytes.substr(0, take));
-      current_.body.append(bytes.data(), take);
+      if (callbacks_.on_body_data) {
+        callbacks_.on_body_data(bytes.substr(0, take));
+      } else {
+        current_.body.append(bytes.data(), take);
+      }
       bytes.remove_prefix(take);
       body_received_ += take;
     }
@@ -139,8 +144,9 @@ void ResponseParser::feed(std::string_view bytes) {
     if (take > 0) {
       if (callbacks_.on_body_data) {
         callbacks_.on_body_data(std::string_view(buffer_).substr(0, take));
+      } else {
+        current_.body.append(buffer_, 0, take);
       }
-      current_.body.append(buffer_, 0, take);
       buffer_.erase(0, take);
       body_received_ += take;
     }
@@ -209,8 +215,9 @@ void ResponseParser::parse_headers() {
   }
 
   current_ = std::move(resp);
+  // The declared length is the peer's claim, not a size to reserve:
+  // buffered bodies grow only as bytes actually arrive.
   body_expected_ = parse_content_length(current_.headers);
-  if (body_expected_) current_.body.reserve(*body_expected_);
   body_received_ = 0;
   state_ = State::kBody;
   buffer_.erase(0, end + 4);

@@ -42,6 +42,14 @@ class RequestParser {
 
 /// Streaming parser for HTTP responses on a connection.
 ///
+/// Body delivery is chosen once, by the callbacks:
+///  - With `on_body_data`, the body is streamed: each chunk goes to the
+///    callback and nowhere else, and the HttpResponse passed to
+///    `on_complete` has an empty `body`.
+///  - Without it, the body is buffered into the completed response's
+///    `body`, growing as bytes arrive (never reserved up front from the
+///    peer-declared Content-Length).
+///
 /// Two framing modes, chosen per response from its headers:
 ///  - Content-Length present: the body ends after that many bytes; the
 ///    parser then resets for the next response (persistent connections).
@@ -56,9 +64,11 @@ class ResponseParser {
     std::function<void(const HttpResponse&,
                        std::optional<std::size_t> body_length)>
         on_headers;
-    /// A chunk of body bytes arrived (already de-framed).
+    /// A chunk of body bytes arrived (already de-framed). Setting this
+    /// switches the parser to streaming: the body is not also buffered.
     std::function<void(std::string_view)> on_body_data;
-    /// Full response received.
+    /// Full response received (status and headers; `body` only when
+    /// buffering, see above).
     std::function<void(const HttpResponse&)> on_complete;
   };
 

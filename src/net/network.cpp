@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -34,7 +33,9 @@ Node& Network::add_node(const std::string& name, GeoPoint location,
   nodes_.push_back(std::make_unique<Node>(*this, id, name, location,
                                           shard_simulator(shard), shard));
   by_name_.emplace(name, id);
-  routes_dirty_ = true;
+  adjacency_.resize(nodes_.size() + 1);
+  row_gen_.resize(nodes_.size() + 1, 0);
+  ++topology_gen_;
   return *nodes_.back();
 }
 
@@ -73,13 +74,11 @@ void Network::connect(Node& a, Node& b, const LinkConfig& a_to_b,
       min_cross_delay_ = std::min(min_cross_delay_, cfg.propagation_delay);
     }
     all_links_.push_back(link.get());
-    const std::uint32_t fid = from.id().value();
-    if (adjacency_.size() <= fid) adjacency_.resize(fid + 1);
-    adjacency_[fid].push_back(Edge{to.id(), std::move(link)});
+    adjacency_[from.id().value()].push_back(Edge{to.id(), std::move(link)});
   };
   make_edge(a, b, a_to_b);
   make_edge(b, a, b_to_a);
-  routes_dirty_ = true;
+  ++topology_gen_;
 }
 
 std::size_t Network::flush_mailboxes() {
@@ -128,46 +127,53 @@ bool Network::mailboxes_empty() const {
   return true;
 }
 
-void Network::compute_routes() {
-  const std::size_t stride = nodes_.size() + 1;
-  next_hop_stride_ = stride;
-  next_hop_.assign(stride * stride, nullptr);
-  if (adjacency_.size() < stride) adjacency_.resize(stride);
-  constexpr std::int64_t kUnreached = std::numeric_limits<std::int64_t>::max();
-  // Dijkstra from every node, cost = propagation delay in ns. The dist row
-  // and the binary heap are member scratch; the first-link row is written
-  // straight into the next-hop matrix.
-  for (const auto& src_node : nodes_) {
-    const std::uint32_t src = src_node->id().value();
-    dijkstra_dist_.assign(stride, kUnreached);
-    dijkstra_heap_.clear();
-    Link** first_link = next_hop_.data() + src * stride;
-    dijkstra_dist_[src] = 0;
-    dijkstra_heap_.emplace_back(0, src);
-    while (!dijkstra_heap_.empty()) {
-      std::pop_heap(dijkstra_heap_.begin(), dijkstra_heap_.end(),
-                    std::greater<>());
-      const auto [d, u] = dijkstra_heap_.back();
-      dijkstra_heap_.pop_back();
-      if (d > dijkstra_dist_[u]) continue;
-      for (const Edge& e : adjacency_[u]) {
-        const std::uint32_t v = e.to.value();
-        const std::int64_t nd = d + e.link->config().propagation_delay.ns();
-        if (nd < dijkstra_dist_[v]) {
-          dijkstra_dist_[v] = nd;
+void Network::dijkstra(std::uint32_t src, std::vector<std::int64_t>& dist,
+                       DijkstraHeap& heap, Link** first_link) const {
+  // Cost = propagation delay in ns; a binary heap over (dist, node).
+  dist.assign(nodes_.size() + 1, std::numeric_limits<std::int64_t>::max());
+  heap.clear();
+  dist[src] = 0;
+  heap.emplace_back(0, src);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const auto [d, u] = heap.back();
+    heap.pop_back();
+    if (d > dist[u]) continue;
+    for (const Edge& e : adjacency_[u]) {
+      const std::uint32_t v = e.to.value();
+      const std::int64_t nd = d + e.link->config().propagation_delay.ns();
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        if (first_link != nullptr) {
           first_link[v] = (u == src) ? e.link.get() : first_link[u];
-          dijkstra_heap_.emplace_back(nd, v);
-          std::push_heap(dijkstra_heap_.begin(), dijkstra_heap_.end(),
-                         std::greater<>());
         }
+        heap.emplace_back(nd, v);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>());
       }
     }
   }
-  routes_dirty_ = false;
+}
+
+void Network::compute_row(std::uint32_t src) {
+  const std::size_t stride = nodes_.size() + 1;
+  if (next_hop_stride_ != stride) {
+    // A node was added since the matrix was laid out. add_node() bumped
+    // the generation, so no row is current and nothing valid is lost.
+    next_hop_stride_ = stride;
+    next_hop_.assign(stride * stride, nullptr);
+  }
+  Link** row = next_hop_.data() + src * stride;
+  std::fill(row, row + stride, nullptr);
+  dijkstra(src, dijkstra_dist_, dijkstra_heap_, row);
+  row_gen_[src] = topology_gen_;
+  ++route_rows_;
+}
+
+void Network::prepare_run() {
+  for (std::uint32_t src = 1; src <= nodes_.size(); ++src) ensure_row(src);
 }
 
 void Network::route(NodeId from, PacketPtr packet) {
-  if (routes_dirty_) compute_routes();
   Node& src = node(from);
   ++routed_by_shard_[src.shard()];
   // Ids are issued per source node ((node << 40) | seq) so serial and
@@ -178,7 +184,8 @@ void Network::route(NodeId from, PacketPtr packet) {
     return;
   }
   const std::uint32_t dst = packet->dst.value();
-  if (from.value() < next_hop_stride_ && dst < next_hop_stride_) {
+  if (dst != 0 && dst <= nodes_.size()) {
+    ensure_row(from.value());
     if (Link* link = next_hop_[from.value() * next_hop_stride_ + dst]) {
       link->transmit(std::move(packet));
       return;
@@ -229,36 +236,27 @@ Node* Network::find_node(const std::string& name) {
 
 sim::SimTime Network::path_delay(NodeId a, NodeId b) const {
   if (a == b) return sim::SimTime::zero();
-  // Re-run a tiny Dijkstra; only used in setup/analysis, not on hot paths
-  // (const, so it keeps its own scratch rather than the members).
-  constexpr std::int64_t kUnreached = std::numeric_limits<std::int64_t>::max();
-  std::vector<std::int64_t> dist(nodes_.size() + 1, kUnreached);
-  using QE = std::pair<std::int64_t, std::uint32_t>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-  dist[a.value()] = 0;
-  pq.emplace(0, a.value());
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (u == b.value()) return sim::SimTime::nanoseconds(d);
-    if (d > dist[u]) continue;
-    if (u >= adjacency_.size()) continue;
-    for (const Edge& e : adjacency_[u]) {
-      const std::int64_t nd = d + e.link->config().propagation_delay.ns();
-      if (nd < dist[e.to.value()]) {
-        dist[e.to.value()] = nd;
-        pq.emplace(nd, e.to.value());
-      }
-    }
+  // Setup/analysis only, not a hot path (const, so it keeps its own
+  // scratch rather than the members).
+  if (a.value() == 0 || a.value() > nodes_.size() || b.value() == 0 ||
+      b.value() > nodes_.size()) {
+    return sim::SimTime::infinity();
   }
-  return sim::SimTime::infinity();
+  std::vector<std::int64_t> dist;
+  DijkstraHeap heap;
+  dijkstra(a.value(), dist, heap, nullptr);
+  if (dist[b.value()] == std::numeric_limits<std::int64_t>::max()) {
+    return sim::SimTime::infinity();
+  }
+  return sim::SimTime::nanoseconds(dist[b.value()]);
 }
 
 Link* Network::first_hop_link(NodeId a, NodeId b) {
-  if (routes_dirty_) compute_routes();
-  if (a.value() >= next_hop_stride_ || b.value() >= next_hop_stride_) {
+  if (a.value() == 0 || a.value() > nodes_.size() || b.value() == 0 ||
+      b.value() > nodes_.size()) {
     return nullptr;
   }
+  ensure_row(a.value());
   return next_hop_[a.value() * next_hop_stride_ + b.value()];
 }
 

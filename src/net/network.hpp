@@ -1,6 +1,7 @@
 // The Network owns nodes and links, computes static shortest-path routes,
 // and moves packets hop by hop. Topologies here are small (star/tree), but
-// routing is a full Dijkstra so arbitrary graphs work.
+// routing is a full Dijkstra so arbitrary graphs work. Routes are computed
+// one source row at a time, only for nodes that actually send.
 #pragma once
 
 #include <cstdint>
@@ -50,12 +51,9 @@ class Network {
   void connect(Node& a, Node& b, const LinkConfig& a_to_b,
                const LinkConfig& b_to_a);
 
-  /// Recompute routing tables. Called automatically on first send after a
-  /// topology change; exposed for tests.
-  void compute_routes();
-
   /// Route a packet from `from` towards packet->dst. Drops (with a counter)
-  /// if no route exists.
+  /// if no route exists. Computes `from`'s route row first if the topology
+  /// changed since it was last computed.
   void route(NodeId from, PacketPtr packet);
 
   Node& node(NodeId id);
@@ -80,12 +78,14 @@ class Network {
   /// windows degenerate and the runner must fall back to serial order.
   sim::SimTime cross_shard_lookahead() const { return min_cross_delay_; }
 
-  /// Refresh routing tables if the topology changed. The shard runner
-  /// calls this before spawning workers: route() must never recompute
-  /// lazily while shards execute in parallel.
-  void prepare_run() {
-    if (routes_dirty_) compute_routes();
-  }
+  /// Compute every stale route row. The shard runner calls this before
+  /// spawning workers, so parallel route() calls only ever read rows: a
+  /// row must never be computed lazily while shards execute in parallel.
+  void prepare_run();
+
+  /// Dijkstra rows computed so far (one per source node per topology
+  /// generation in which it sent, or all stale rows at prepare_run()).
+  std::uint64_t route_rows_computed() const { return route_rows_; }
 
   /// Window-barrier drain: schedule every staged cross-shard packet on its
   /// destination shard at its recorded arrival time. Packets drain sorted
@@ -149,6 +149,20 @@ class Network {
     std::uint64_t bytes = 0;
   };
 
+  using DijkstraHeap = std::vector<std::pair<std::int64_t, std::uint32_t>>;
+
+  /// Make `src`'s route row current. The generation check is inline so the
+  /// per-packet cost stays one compare; the Dijkstra runs out of line.
+  void ensure_row(std::uint32_t src) {
+    if (row_gen_[src] != topology_gen_) compute_row(src);
+  }
+  void compute_row(std::uint32_t src);
+  /// The one shortest-path routine: fills `dist` (propagation ns, int64 max
+  /// = unreached) from `src` and, when `first_link` is non-null, the first
+  /// link of each shortest path (first_link[v], indexed by node id).
+  void dijkstra(std::uint32_t src, std::vector<std::int64_t>& dist,
+                DijkstraHeap& heap, Link** first_link) const;
+
   sim::Simulator& simulator_;
   std::vector<sim::Simulator*> shard_sims_;  // empty = serial (base only)
   std::vector<std::unique_ptr<Node>> nodes_;  // index = id - 1
@@ -161,20 +175,26 @@ class Network {
   std::vector<const Link*> all_links_;
   /// Flat next-hop matrix: next_hop_[src * stride + dst] is the link that
   /// carries traffic from src toward dst (null = no route), with
-  /// stride = nodes_.size() + 1. Rebuilt wholesale by compute_routes();
-  /// route() is then one multiply-add and a load.
+  /// stride = nodes_.size() + 1. Row src is valid only while
+  /// row_gen_[src] == topology_gen_; route() is then one compare, one
+  /// multiply-add and a load.
   std::vector<Link*> next_hop_;
   std::size_t next_hop_stride_ = 0;
-  /// Dijkstra scratch reused across sources and recomputes, so a route
-  /// rebuild allocates nothing at steady state. compute_routes() never
-  /// runs concurrently with itself (prepare_run() precedes shard workers).
+  /// Bumped by every add_node()/connect(). row_gen_[src] (indexed by node
+  /// id; slot 0 unused) is the generation row src was computed at, 0 for
+  /// never. Rows are computed only from serial context (lazily by route()
+  /// outside shard windows, or by prepare_run()).
+  std::uint64_t topology_gen_ = 1;
+  std::vector<std::uint64_t> row_gen_;
+  std::uint64_t route_rows_ = 0;
+  /// Dijkstra scratch reused across rows, so computing a row allocates
+  /// nothing at steady state.
   std::vector<std::int64_t> dijkstra_dist_;
-  std::vector<std::pair<std::int64_t, std::uint32_t>> dijkstra_heap_;
+  DijkstraHeap dijkstra_heap_;
   /// One mailbox per cross-shard directed link, in creation order.
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<ShardArrivals> arrivals_by_shard_;
   sim::SimTime min_cross_delay_ = sim::SimTime::infinity();
-  bool routes_dirty_ = true;
   /// Indexed by the source node's shard: parallel route() calls from
   /// different shards each mutate their own slot, never a shared word.
   std::vector<std::uint64_t> no_route_by_shard_ = {0};

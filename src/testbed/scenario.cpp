@@ -486,6 +486,9 @@ void Scenario::collect_kernel_metrics(obs::MetricsRegistry& out) {
   out.add("sim_events_scheduled", scheduled);
   out.add("sim_timer_cancels", cancels);
   out.gauge_max("sim_event_heap_peak", heap_peak);
+  // Route rows: a serial run computes a row only for a node that sends,
+  // while a sharded run fills every stale row before each run.
+  out.add("net_route_rows", network_->route_rows_computed());
 
   // Conservative-window runner (all zero in a serial scenario).
   const parallel::ShardRunnerStats& st = runner_->stats();

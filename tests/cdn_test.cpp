@@ -9,6 +9,7 @@
 #include "cdn/client.hpp"
 #include "cdn/deployment.hpp"
 #include "cdn/frontend.hpp"
+#include "http/message.hpp"
 #include "net/network.hpp"
 #include "search/content_model.hpp"
 #include "sim/simulator.hpp"
@@ -106,6 +107,28 @@ TEST(Backend, DirectServiceReturnsFullPage) {
   EXPECT_EQ(r.status, 200);
   EXPECT_GT(r.body_bytes, f.content.static_prefix().size());
   EXPECT_EQ(f.backend->queries_served(), 1u);
+}
+
+TEST(Backend, ResponseWireBytesMatchSerialize) {
+  // The BE writes each length-framed response straight into one wire
+  // buffer; its bytes must equal HttpResponse::serialize() of the same
+  // response, which is what the FE's parser and the traces were built on.
+  CdnFixture f;
+  sim::RngStream rng = f.simulator.rng().stream("test/wire");
+  for (const std::string& body :
+       {f.content.dynamic_body(kKeyword, rng), std::string()}) {
+    http::HttpResponse resp;
+    resp.set_header("X-Query-Id", "4242");
+    resp.body = body;
+    EXPECT_EQ(fetch_response_wire(4242, body).to_text(), resp.serialize());
+  }
+
+  http::HttpResponse warm;
+  warm.set_header("X-Query-Id", "7");
+  warm.set_header("X-Warmup", "1");
+  warm.body.assign(128 * 1024, 'w');
+  EXPECT_EQ(warmup_response_wire(7, warm.body.size()).to_text(),
+            warm.serialize());
 }
 
 TEST(Backend, ProcessingTimeScalesWithWordCount) {

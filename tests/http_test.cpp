@@ -133,9 +133,30 @@ TEST(RequestParser, MalformedHeaderThrows) {
                std::runtime_error);
 }
 
+TEST(RequestParser, HugeContentLengthWaitsForBody) {
+  // head_len + body_len wraps for a near-2^64 length; the parser must keep
+  // waiting for the body instead of dispatching at once and swallowing the
+  // next pipelined request as that body.
+  std::vector<HttpRequest> got;
+  RequestParser parser([&](HttpRequest r) { got.push_back(std::move(r)); });
+  parser.feed(
+      "POST /a HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n"
+      "GET /next HTTP/1.1\r\n\r\n");
+  EXPECT_TRUE(got.empty());
+  EXPECT_TRUE(parser.mid_message());
+}
+
+/// Records one parser's events in one of its two body modes. Streaming
+/// sets on_body_data: each response's bytes arrive only through the
+/// callback (collected per response in `streamed`) and the completed
+/// response's body stays empty. Buffered leaves the callback unset, so the
+/// bytes land in each completed response's `body`.
 struct ResponseEvents {
+  explicit ResponseEvents(bool streaming = true) : streaming(streaming) {}
+
+  bool streaming;
   std::vector<std::optional<std::size_t>> header_lengths;
-  std::string body;
+  std::vector<std::string> streamed;
   std::vector<HttpResponse> completed;
 
   ResponseParser::Callbacks callbacks() {
@@ -143,50 +164,68 @@ struct ResponseEvents {
     cb.on_headers = [this](const HttpResponse&,
                            std::optional<std::size_t> len) {
       header_lengths.push_back(len);
+      streamed.emplace_back();
     };
-    cb.on_body_data = [this](std::string_view chunk) { body.append(chunk); };
+    if (streaming) {
+      cb.on_body_data = [this](std::string_view chunk) {
+        streamed.back().append(chunk);
+      };
+    }
     cb.on_complete = [this](const HttpResponse& r) { completed.push_back(r); };
     return cb;
   }
+
+  /// Body bytes of completed response `i` as this mode delivers them.
+  std::string body(std::size_t i) const {
+    if (!streaming) return completed.at(i).body;
+    EXPECT_TRUE(completed.at(i).body.empty()) << "streamed body also buffered";
+    return streamed.at(i);
+  }
 };
 
-TEST(ResponseParser, LengthFramedResponse) {
-  ResponseEvents ev;
+// The four body-delivery cases below run in both modes: the
+// ResponseParser.* originals stream, ResponseParserBuffered.* buffer.
+
+void expect_length_framed_response(bool streaming) {
+  ResponseEvents ev(streaming);
   ResponseParser parser(ev.callbacks());
   parser.feed("HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nbody");
   ASSERT_EQ(ev.completed.size(), 1u);
   EXPECT_EQ(ev.completed[0].status, 200);
-  EXPECT_EQ(ev.completed[0].body, "body");
+  EXPECT_EQ(ev.body(0), "body");
   EXPECT_EQ(ev.header_lengths[0].value(), 4u);
-  EXPECT_EQ(ev.body, "body");
 }
 
-TEST(ResponseParser, StreamingBodyChunks) {
-  ResponseEvents ev;
+void expect_streaming_body_chunks(bool streaming) {
+  ResponseEvents ev(streaming);
   ResponseParser parser(ev.callbacks());
   parser.feed("HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n");
   EXPECT_TRUE(ev.completed.empty());
   parser.feed("01234");
-  EXPECT_EQ(ev.body, "01234");
+  EXPECT_EQ(parser.body_received(), 5u);
+  if (streaming) {
+    EXPECT_EQ(ev.streamed[0], "01234");
+  }
   EXPECT_TRUE(ev.completed.empty());
   parser.feed("56789");
   ASSERT_EQ(ev.completed.size(), 1u);
-  EXPECT_EQ(ev.completed[0].body, "0123456789");
+  EXPECT_EQ(ev.body(0), "0123456789");
 }
 
-TEST(ResponseParser, BackToBackResponsesOnPersistentConnection) {
-  ResponseEvents ev;
+void expect_back_to_back_responses(bool streaming) {
+  ResponseEvents ev(streaming);
   ResponseParser parser(ev.callbacks());
   parser.feed(
       "HTTP/1.1 200 OK\r\nX-Query-Id: 1\r\nContent-Length: 2\r\n\r\naa"
       "HTTP/1.1 200 OK\r\nX-Query-Id: 2\r\nContent-Length: 3\r\n\r\nbbb");
   ASSERT_EQ(ev.completed.size(), 2u);
   EXPECT_EQ(ev.completed[0].header("X-Query-Id").value(), "1");
-  EXPECT_EQ(ev.completed[1].body, "bbb");
+  EXPECT_EQ(ev.body(0), "aa");
+  EXPECT_EQ(ev.body(1), "bbb");
 }
 
-TEST(ResponseParser, CloseFramedResponse) {
-  ResponseEvents ev;
+void expect_close_framed_response(bool streaming) {
+  ResponseEvents ev(streaming);
   ResponseParser parser(ev.callbacks());
   parser.feed("HTTP/1.1 200 OK\r\nConnection: close\r\n\r\npartial");
   EXPECT_FALSE(ev.header_lengths[0].has_value());
@@ -194,7 +233,51 @@ TEST(ResponseParser, CloseFramedResponse) {
   parser.feed(" and more");
   parser.finish_stream();
   ASSERT_EQ(ev.completed.size(), 1u);
-  EXPECT_EQ(ev.completed[0].body, "partial and more");
+  EXPECT_EQ(ev.body(0), "partial and more");
+}
+
+TEST(ResponseParser, LengthFramedResponse) {
+  expect_length_framed_response(true);
+}
+TEST(ResponseParserBuffered, LengthFramedResponse) {
+  expect_length_framed_response(false);
+}
+
+TEST(ResponseParser, StreamingBodyChunks) {
+  expect_streaming_body_chunks(true);
+}
+TEST(ResponseParserBuffered, StreamingBodyChunks) {
+  expect_streaming_body_chunks(false);
+}
+
+TEST(ResponseParser, BackToBackResponsesOnPersistentConnection) {
+  expect_back_to_back_responses(true);
+}
+TEST(ResponseParserBuffered, BackToBackResponsesOnPersistentConnection) {
+  expect_back_to_back_responses(false);
+}
+
+TEST(ResponseParser, CloseFramedResponse) {
+  expect_close_framed_response(true);
+}
+TEST(ResponseParserBuffered, CloseFramedResponse) {
+  expect_close_framed_response(false);
+}
+
+TEST(ResponseParserBuffered, HugeContentLengthIsNeverReserved) {
+  // A peer-declared length must not turn into an up-front allocation
+  // (std::length_error / std::bad_alloc instead of the documented
+  // std::runtime_error): the body grows only as bytes arrive.
+  for (const char* length : {"1000000000000", "18446744073709551615"}) {
+    SCOPED_TRACE(length);
+    ResponseEvents ev(/*streaming=*/false);
+    ResponseParser parser(ev.callbacks());
+    parser.feed(std::string("HTTP/1.1 200 OK\r\nContent-Length: ") + length +
+                "\r\n\r\nab");
+    EXPECT_EQ(parser.body_received(), 2u);
+    EXPECT_TRUE(ev.completed.empty());
+    EXPECT_THROW(parser.finish_stream(), std::runtime_error);
+  }
 }
 
 TEST(ResponseParser, FinishStreamMidLengthBodyThrows) {

@@ -2,6 +2,8 @@
 // (delay, serialization, queuing), routing and geo math.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
 #include <vector>
 
 #include "net/geo.hpp"
@@ -278,6 +280,72 @@ TEST(Network, NoRouteIncrementsDropCounter) {
   a.send(make_packet(a.id(), NodeId{2}, 10));
   simulator.run();
   EXPECT_EQ(network.no_route_drops(), 1u);
+}
+
+TEST(Network, OnDemandRouteRowsMatchFreshNetwork) {
+  // Interleave topology changes with sends on one network, so rows are
+  // computed on demand at many generations, then compare every first hop
+  // with a network built directly in its final shape and filled by
+  // prepare_run(). Delays come from {1,2,3} ms, so equal-cost paths are
+  // common and tie-breaking must agree too. Routing ignores bandwidth, so
+  // each edge carries its creation index there: (source, tag) names a
+  // directed link in either network.
+  std::mt19937 gen(20240607);
+  struct EdgeSpec {
+    std::uint32_t a, b;
+    LinkConfig cfg;
+  };
+  std::vector<EdgeSpec> edges;
+  sim::Simulator lazy_sim(1);
+  Network lazy(lazy_sim);
+  std::uint32_t nodes = 0;
+  const auto pick = [&] { return 1 + static_cast<std::uint32_t>(gen() % nodes); };
+  for (int step = 0; step < 400; ++step) {
+    const unsigned action = gen() % 4;
+    if (nodes < 2 || (action == 0 && nodes < 40)) {
+      lazy.add_node("n" + std::to_string(nodes++));
+    } else if (action == 1) {
+      const std::uint32_t a = pick(), b = pick();
+      if (a == b) continue;
+      LinkConfig cfg;
+      cfg.propagation_delay = SimTime::milliseconds(1 + gen() % 3);
+      cfg.bandwidth_bps = 1e9 + static_cast<double>(edges.size());
+      edges.push_back(EdgeSpec{a, b, cfg});
+      lazy.connect(lazy.node(NodeId{a}), lazy.node(NodeId{b}), cfg);
+    } else {
+      const std::uint32_t from = pick(), to = pick();
+      if (from == to) continue;
+      lazy.route(NodeId{from}, make_packet(NodeId{from}, NodeId{to}, 0));
+    }
+  }
+  lazy_sim.run();  // transit hops route through on-demand rows as well
+
+  sim::Simulator fresh_sim(1);
+  Network fresh(fresh_sim);
+  for (std::uint32_t n = 0; n < nodes; ++n) {
+    fresh.add_node("n" + std::to_string(n));
+  }
+  for (const EdgeSpec& e : edges) {
+    fresh.connect(fresh.node(NodeId{e.a}), fresh.node(NodeId{e.b}), e.cfg);
+  }
+  fresh.prepare_run();
+  EXPECT_EQ(fresh.route_rows_computed(), nodes);
+  fresh.prepare_run();  // nothing is stale any more
+  EXPECT_EQ(fresh.route_rows_computed(), nodes);
+
+  std::size_t routed_pairs = 0;
+  for (std::uint32_t a = 1; a <= nodes; ++a) {
+    for (std::uint32_t b = 1; b <= nodes; ++b) {
+      const Link* want = fresh.first_hop_link(NodeId{a}, NodeId{b});
+      const Link* got = lazy.first_hop_link(NodeId{a}, NodeId{b});
+      ASSERT_EQ(want == nullptr, got == nullptr) << a << "->" << b;
+      if (want == nullptr) continue;
+      EXPECT_EQ(want->config().bandwidth_bps, got->config().bandwidth_bps)
+          << a << "->" << b;
+      ++routed_pairs;
+    }
+  }
+  EXPECT_GT(routed_pairs, 0u);
 }
 
 TEST(Network, DuplicateNodeNameThrows) {

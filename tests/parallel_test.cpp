@@ -193,6 +193,26 @@ TEST(ParallelExperiment, ByteIdenticalAcrossThreadCounts) {
   expect_identical(t1, t5);
 }
 
+// Route rows are computed on demand, one Dijkstra per sending node per
+// topology generation. Pinned for one replica exactly as run_sharded builds
+// it (serial kernel, default plan, first vantage point), so a return to
+// all-pairs rebuilds (node_count rows per topology change) fails here.
+TEST(ParallelExperiment, ReplicaRouteRowsArePinned) {
+  auto scenario_options = small_scenario();
+  scenario_options.sim_shards = 1;  // immune to DYNCDN_SIM_SHARDS
+  const testbed::ReplicaPlan plan;
+  testbed::Scenario scenario(scenario_options);
+  scenario.warm_up(plan.warm_up);
+  const std::vector<std::size_t> first{0};
+  const auto r = testbed::run_experiment_subset(
+      scenario, small_experiment(), first, [](std::size_t) { return 0; });
+  // 24 nodes: a single all-pairs rebuild would already compute 24 rows,
+  // and the old code rebuilt after every topology change that preceded a
+  // send.
+  ASSERT_EQ(scenario.network().node_count(), 24u);
+  EXPECT_EQ(r.kernel_metrics.counter("net_route_rows"), 37u);
+}
+
 // Satellite of the observability PR: the merged metrics registry (and its
 // canonical Prometheus rendering) must be bit-identical at any thread
 // count, because shards merge in index order and every collected counter
