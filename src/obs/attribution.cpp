@@ -100,7 +100,7 @@ std::string QueryAttribution::to_json() const {
   bool first = true;
   // Every component appears even with zero samples (e.g. attr_dns_ms in a
   // fixed-FE campaign, which never resolves) so the schema is stable for
-  // bench_diff and downstream parsers.
+  // readers of `dyncdn_experiment --attribution-out`.
   for (const std::string& name : component_names()) {
     const Histogram* h = registry_.histogram(name);
     if (!first) out.push_back(',');

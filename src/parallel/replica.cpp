@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "sim/parse.hpp"
+
 namespace dyncdn::parallel {
 
 namespace {
@@ -26,8 +28,9 @@ std::uint64_t replica_seed(std::uint64_t base_seed,
 std::size_t resolve_threads(const ExecutorConfig& config) {
   if (config.threads > 0) return config.threads;
   if (const char* env = std::getenv("DYNCDN_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
+    if (const auto v = sim::parse_number<std::size_t>(env); v && *v > 0) {
+      return *v;
+    }
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -62,7 +62,8 @@ class ClaimRange {
 };
 
 struct ExecutorConfig {
-  /// Worker count. 0 = use DYNCDN_THREADS if set, else
+  /// Worker count. 0 = use DYNCDN_THREADS if it is a positive integer
+  /// (sim::parse_number; other values are ignored), else
   /// std::thread::hardware_concurrency().
   std::size_t threads = 0;
 };

@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
+
+#include "sim/parse.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -18,9 +21,9 @@ namespace {
 std::size_t resolve_sim_shards(std::size_t requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("DYNCDN_SIM_SHARDS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
+    if (const auto v = sim::parse_number<std::size_t>(env); v && *v > 0) {
+      return *v;
+    }
   }
   return 1;
 }
@@ -55,22 +58,21 @@ std::string make_temp_spill_dir() {
 }  // namespace
 
 std::optional<std::size_t> parse_byte_size(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  char* end = nullptr;
-  const std::string s(text);
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str()) return std::nullopt;
   std::size_t mult = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': mult = 1024ull; break;
-      case 'm': case 'M': mult = 1024ull * 1024; break;
-      case 'g': case 'G': mult = 1024ull * 1024 * 1024; break;
-      default: return std::nullopt;
+  if (!text.empty()) {
+    switch (text.back()) {
+      case 'k': case 'K': mult = std::size_t{1} << 10; break;
+      case 'm': case 'M': mult = std::size_t{1} << 20; break;
+      case 'g': case 'G': mult = std::size_t{1} << 30; break;
+      default: break;
     }
-    if (end[1] != '\0') return std::nullopt;
+    if (mult > 1) text.remove_suffix(1);
   }
-  return static_cast<std::size_t>(v) * mult;
+  const auto v = sim::parse_number<std::size_t>(text);
+  if (!v || *v > std::numeric_limits<std::size_t>::max() / mult) {
+    return std::nullopt;
+  }
+  return *v * mult;
 }
 
 Scenario::Scenario(ScenarioOptions options) : options_(std::move(options)) {

@@ -32,7 +32,8 @@ namespace dyncdn::testbed {
 
 /// Parse a byte count with an optional k/m/g (or K/M/G) binary suffix,
 /// e.g. "65536", "64k", "2M". Used by --capture-budget and the
-/// DYNCDN_CAPTURE_BUDGET environment variable. nullopt on malformed input.
+/// DYNCDN_CAPTURE_BUDGET environment variable. nullopt on malformed input
+/// (see sim::parse_number) and on a product that overflows size_t.
 std::optional<std::size_t> parse_byte_size(std::string_view text);
 
 struct ScenarioOptions {
@@ -85,7 +86,9 @@ struct ScenarioOptions {
   /// `sim_shards` event kernels that run concurrently between lookahead
   /// barriers. Results (timelines, TSVs, metrics exports) are identical at
   /// any shard count; only the kernel counters in collect_kernel_metrics
-  /// legitimately differ. 0 = DYNCDN_SIM_SHARDS if set, else 1 (serial).
+  /// legitimately differ. 0 = DYNCDN_SIM_SHARDS if it is a positive
+  /// integer (sim::parse_number; other values are ignored), else 1
+  /// (serial).
   std::size_t sim_shards = 0;
 
   /// Fractions of vantage points on residential-DSL and wireless access

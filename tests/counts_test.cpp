@@ -1,0 +1,143 @@
+// Count-only regression gate for the quick fixed-FE campaign.
+//
+// The campaign (Google-like profile, 8 vantage points, seed 4242, 4 reps
+// 900 ms apart, one scenario on one thread) is deterministic, so what it
+// does is a set of exact counts: events dispatched, packets and bytes
+// delivered, TCP segments sent, heap allocations made. Those counts move
+// only when the code does, on any host and under any load, so they gate
+// exactly where a wall-clock throughput gate could only gate within the
+// noise of the box it runs on. Nothing here reads a clock: timing lives in
+// perfbench/ (campaigns) and bench/micro_benchmarks (kernels).
+//
+// The scenario pins sim_shards = 1 so that DYNCDN_SIM_SHARDS cannot change
+// what is counted (a sharded layout legitimately dispatches other events).
+// A pinned count that moves is either a regression or an intended change;
+// in the second case re-pin it in the same change and say why.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <string>
+
+#include "capture/serialize.hpp"
+#include "capture/spill.hpp"
+#include "obs/memory.hpp"
+#include "search/keywords.hpp"
+#include "testbed/experiment.hpp"
+#include "testbed/scenario.hpp"
+
+namespace dyncdn {
+namespace {
+
+using namespace sim::literals;
+
+testbed::ScenarioOptions quick_scenario() {
+  testbed::ScenarioOptions so;
+  so.profile = cdn::google_like_profile();
+  so.client_count = 8;
+  so.seed = 4242;
+  so.sim_shards = 1;
+  so.stream_analysis = true;
+  return so;
+}
+
+testbed::ExperimentOptions quick_experiment() {
+  testbed::ExperimentOptions eo;
+  eo.reps_per_node = 4;
+  eo.interval = 900_ms;
+  search::KeywordCatalog catalog(5);
+  eo.keywords = {catalog.figure3_keywords().front()};
+  return eo;
+}
+
+TEST(Counts, QuickCampaignCountsArePinned) {
+  testbed::Scenario scenario(quick_scenario());
+  scenario.warm_up();
+  const std::uint64_t allocs_before = obs::memory_snapshot().allocations;
+  const testbed::ExperimentResult r =
+      testbed::run_fixed_fe_experiment(scenario, 0, quick_experiment());
+  const std::uint64_t allocs =
+      obs::memory_snapshot().allocations - allocs_before;
+
+  const std::size_t queries = r.all().size();
+  ASSERT_EQ(queries, 32u);
+  // Warm-up, boundary discovery and the measured run together.
+  EXPECT_EQ(r.kernel_metrics.counter("sim_events_executed"), 1741u);
+  EXPECT_EQ(r.metrics.counter("link_packets_delivered"), 4834u);
+  EXPECT_EQ(r.metrics.counter("link_bytes_delivered"), 3096599u);
+  EXPECT_EQ(r.metrics.counter("tcp_segments_sent"), 2263u);
+
+  // Heap allocations per measured query, counted from after warm-up to the
+  // end of analysis. The count is exact for a given toolchain; the ceiling
+  // sits half an allocation per query above it, so one more allocation per
+  // query (let alone per packet) fails. Pinned with GCC 12.2 / libstdc++ 12
+  // (114.66 per query): another standard library may allocate differently,
+  // so re-pin the ceiling when the CI compiler changes.
+  const double allocs_per_query =
+      static_cast<double>(allocs) / static_cast<double>(queries);
+  if (obs::memory_tracking_enabled()) {
+    EXPECT_LE(allocs_per_query, 115.15) << allocs << " allocations";
+  } else {
+    std::printf("allocation ceiling not checked: this build has no "
+                "allocation tracking (DYNCDN_MEM_TRACK=OFF or a sanitizer "
+                "build)\n");
+  }
+}
+
+TEST(Counts, FullCaptureCampaignSpillsAtA64KiBBudget) {
+  testbed::ScenarioOptions so = quick_scenario();
+  so.stream_analysis = false;
+  so.capture_budget = 64u << 10;
+  testbed::Scenario scenario(so);
+  scenario.warm_up();
+  const testbed::ExperimentResult r =
+      testbed::run_fixed_fe_experiment(scenario, 0, quick_experiment());
+  EXPECT_GT(r.metrics.counter("spill_blocks"), 0u);
+}
+
+// run_fixed_fe_experiment clears each recorder once it is analyzed, so the
+// captures are taken from queries submitted by hand.
+TEST(Counts, DtrcIsFourTimesSmallerThanText) {
+  namespace fs = std::filesystem;
+  testbed::ScenarioOptions so = quick_scenario();
+  so.stream_analysis = false;
+  testbed::Scenario scenario(so);
+  scenario.warm_up();
+  const net::Endpoint fe = scenario.fe_endpoint(0);
+  const search::KeywordCatalog catalog(5);
+  const auto keywords = catalog.distinct_corpus(4);
+  for (std::size_t i = 0; i < scenario.clients().size(); ++i) {
+    scenario.connect_client_to_fe(i, 0);
+    auto& client = scenario.clients()[i];
+    sim::SimTime at = sim::SimTime::milliseconds(
+        static_cast<std::int64_t>(100 * i));
+    for (const search::Keyword& kw : keywords) {
+      client.node->simulator().schedule_in(at, [&client, fe, kw]() {
+        client.query_client->submit(fe, kw, [](const cdn::QueryResult&) {});
+      });
+      at = at + 1500_ms;
+    }
+  }
+  scenario.run();
+
+  const fs::path dir = fs::path(::testing::TempDir()) / "counts-dtrc";
+  fs::create_directories(dir);
+  std::uint64_t text_bytes = 0, dtrc_bytes = 0;
+  for (std::size_t i = 0; i < scenario.clients().size(); ++i) {
+    const capture::PacketTrace& trace =
+        scenario.clients()[i].recorder->trace();
+    ASSERT_GT(trace.size(), 0u);
+    text_bytes +=
+        capture::serialize_trace(trace, /*with_payloads=*/false).size();
+    const fs::path file = dir / ("client-" + std::to_string(i) + ".dtrc");
+    capture::save_trace_dtrc(trace, file.string());
+    dtrc_bytes += fs::file_size(file);
+  }
+  fs::remove_all(dir);
+  EXPECT_GE(text_bytes, 4 * dtrc_bytes)
+      << "text " << text_bytes << " bytes, dtrc " << dtrc_bytes << " bytes";
+}
+
+}  // namespace
+}  // namespace dyncdn

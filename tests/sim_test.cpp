@@ -1,10 +1,13 @@
 // Unit tests for the discrete-event kernel: SimTime arithmetic, event
-// ordering and cancellation, run loops, and RNG determinism.
+// ordering and cancellation, run loops, RNG determinism, and strict
+// number parsing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/parse.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -288,6 +291,30 @@ TEST(Rng, NormalMsClampsAtFloor) {
   RngStream s = RngFactory(6).stream("n");
   for (int i = 0; i < 1000; ++i) {
     EXPECT_GE(s.normal_ms(1.0, 10.0, 0.5), SimTime::from_milliseconds(0.5));
+  }
+}
+
+// Counts and settings from command lines and the environment.
+TEST(ParseNumber, AcceptsPlainDecimals) {
+  EXPECT_EQ(parse_number<std::size_t>("0"), std::size_t{0});
+  EXPECT_EQ(parse_number<std::size_t>("4"), std::size_t{4});
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            UINT64_C(18446744073709551615));
+  EXPECT_EQ(parse_number<double>("100"), 100.0);
+  EXPECT_EQ(parse_number<double>("0.5"), 0.5);
+}
+
+TEST(ParseNumber, RejectsSignWhitespaceJunkAndOverflow) {
+  for (const char* bad :
+       {"", "-1", "+1", "-0", " 4", "4 ", "\t4", "4abc", "abc", "4.0", "0x10",
+        "18446744073709551616", "99999999999999999999999"}) {
+    EXPECT_FALSE(parse_number<std::uint64_t>(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_number<std::uint32_t>("4294967296").has_value());
+  for (const char* bad :
+       {"", "-1", "+1", "-0.5", " 1", "1 ", "1ms", "abc", "inf", "nan",
+        "1e999"}) {
+    EXPECT_FALSE(parse_number<double>(bad).has_value()) << bad;
   }
 }
 

@@ -454,6 +454,14 @@ TEST(SpillScenario, ParseByteSizeSuffixes) {
   EXPECT_FALSE(parse_byte_size("k").has_value());
   EXPECT_FALSE(parse_byte_size("12x").has_value());
   EXPECT_FALSE(parse_byte_size("1kb").has_value());
+  // Strict: no sign, whitespace or junk, and no wrap-around (a size that
+  // wrapped to 0 would silently turn spilling off).
+  EXPECT_EQ(parse_byte_size("16777215G"), std::size_t{16777215} << 30);
+  for (const char* bad : {"-1", "-1k", "+4k", " 4k", "4k ", "4 k", "4abc",
+                          "17179869184G", "18446744073709551616",
+                          "18014398509481984k"}) {
+    EXPECT_FALSE(parse_byte_size(bad).has_value()) << bad;
+  }
 }
 
 testbed::ScenarioOptions spill_scenario(std::size_t budget,

@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/boundary.hpp"
@@ -783,34 +784,45 @@ TEST(StreamingExperiment, CachingExperimentMatchesCapturePath) {
 }
 
 TEST(StreamingExperiment, StreamingModeEmitsOnlineAndBoundsMemory) {
-  testbed::Scenario scenario(small_scenario(true));
-  scenario.warm_up();
-  const auto r =
-      testbed::run_fixed_fe_experiment(scenario, 0, small_experiment());
-  ASSERT_GT(r.all().size(), 0u);
+  // The small campaign, and the 8-client, 4-rep quick campaign that
+  // tests/counts_test.cpp pins the counts of.
+  for (const auto& [clients, reps] :
+       {std::pair<std::size_t, std::size_t>{6, 3}, {8, 4}}) {
+    SCOPED_TRACE(std::to_string(clients) + " clients");
+    testbed::ScenarioOptions stream_opt = small_scenario(true);
+    testbed::ScenarioOptions cap_opt = small_scenario(false);
+    stream_opt.client_count = cap_opt.client_count = clients;
+    testbed::ExperimentOptions eo = small_experiment();
+    eo.reps_per_node = reps;
 
-  obs::MetricsRegistry mem;
-  scenario.collect_memory_metrics(mem);
-  // Flows were reduced online (the boundary arrives right after discovery,
-  // so measured-phase flows collapse at teardown)...
-  EXPECT_GT(mem.counter("stream_timelines_online"), 0u);
-  EXPECT_EQ(mem.counter("stream_late_packets"), 0u);
-  // ...and no packets were retained outside the discovery probe phase,
-  // whose handful of payload-bearing records dominates the retained peak.
-  const double analyzer_peak = mem.gauge("analyzer_live_bytes_peak");
-  EXPECT_GT(analyzer_peak, 0.0);
+    testbed::Scenario scenario(stream_opt);
+    scenario.warm_up();
+    const auto r = testbed::run_fixed_fe_experiment(scenario, 0, eo);
+    ASSERT_GT(r.all().size(), 0u);
 
-  // The capture-mode scenario retains the whole campaign: its peak must
-  // dwarf the streaming analyzer's in-flight state.
-  testbed::Scenario cap_scenario(small_scenario(false));
-  cap_scenario.warm_up();
-  testbed::run_fixed_fe_experiment(cap_scenario, 0, small_experiment());
-  obs::MetricsRegistry cap_mem;
-  cap_scenario.collect_memory_metrics(cap_mem);
-  const double capture_peak = cap_mem.gauge("capture_retained_bytes_peak");
-  ASSERT_GT(capture_peak, 0.0);
-  // Acceptance floor is 40% lower; construction guarantees far more.
-  EXPECT_LT(analyzer_peak, 0.6 * capture_peak);
+    obs::MetricsRegistry mem;
+    scenario.collect_memory_metrics(mem);
+    // Flows were reduced online (the boundary arrives right after
+    // discovery, so measured-phase flows collapse at teardown)...
+    EXPECT_GT(mem.counter("stream_timelines_online"), 0u);
+    EXPECT_EQ(mem.counter("stream_late_packets"), 0u);
+    // ...and no packets were retained outside the discovery probe phase,
+    // whose handful of payload-bearing records dominates the retained peak.
+    const double analyzer_peak = mem.gauge("analyzer_live_bytes_peak");
+    EXPECT_GT(analyzer_peak, 0.0);
+
+    // The capture-mode scenario retains the whole campaign: its peak must
+    // dwarf the streaming analyzer's in-flight state.
+    testbed::Scenario cap_scenario(cap_opt);
+    cap_scenario.warm_up();
+    testbed::run_fixed_fe_experiment(cap_scenario, 0, eo);
+    obs::MetricsRegistry cap_mem;
+    cap_scenario.collect_memory_metrics(cap_mem);
+    const double capture_peak = cap_mem.gauge("capture_retained_bytes_peak");
+    ASSERT_GT(capture_peak, 0.0);
+    // Acceptance floor is 40% lower; construction guarantees far more.
+    EXPECT_LT(analyzer_peak, 0.6 * capture_peak);
+  }
 }
 
 }  // namespace

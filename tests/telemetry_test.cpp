@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/span_attribution.hpp"
@@ -250,8 +251,8 @@ TEST(TimeSeriesDeterminism, ByteIdenticalAcrossThreadsAndShards) {
 // ---------------------------------------------------------------------------
 
 // The JSON schema is stable: every component appears even with zero
-// samples (attr_dns_ms never fires in a fixed-FE campaign, yet bench_diff
-// and plotting scripts rely on the key existing).
+// samples (attr_dns_ms never fires in a fixed-FE campaign, yet readers
+// of --attribution-out and plotting scripts rely on the key existing).
 TEST(Attribution, AllComponentsAppearInJsonEvenWithZeroSamples) {
   const obs::QueryAttribution attribution;
   const std::string json = attribution.to_json();
@@ -263,35 +264,45 @@ TEST(Attribution, AllComponentsAppearInJsonEvenWithZeroSamples) {
 
 #if DYNCDN_OBS
 TEST(Attribution, TelescopingIdentityHoldsExactly) {
-  testbed::ScenarioOptions opt = telemetry_scenario(1);
-  opt.enable_tracing = true;
-  testbed::Scenario scenario(opt);
-  scenario.warm_up();
-  const testbed::ExperimentResult result =
-      testbed::run_fixed_fe_experiment(scenario, 0, telemetry_experiment());
+  // The small campaign, and the 8-client, 4-rep quick campaign that
+  // tests/counts_test.cpp pins the counts of.
+  for (const auto& [clients, reps] :
+       {std::pair<std::size_t, std::size_t>{4, 2}, {8, 4}}) {
+    SCOPED_TRACE(std::to_string(clients) + " clients");
+    testbed::ScenarioOptions opt = telemetry_scenario(1);
+    opt.client_count = clients;
+    opt.enable_tracing = true;
+    testbed::ExperimentOptions eo = telemetry_experiment();
+    eo.reps_per_node = reps;
+    testbed::Scenario scenario(opt);
+    scenario.warm_up();
+    const testbed::ExperimentResult result =
+        testbed::run_fixed_fe_experiment(scenario, 0, eo);
 
-  EXPECT_GT(result.attribution.queries(), 0u);
-  EXPECT_EQ(result.attribution.reconcile_failures(), 0u);
+    EXPECT_GT(result.attribution.queries(), 0u);
+    EXPECT_EQ(result.attribution.reconcile_failures(), 0u);
 
-  // Re-walk the span forest and check the identity per query in integer
-  // nanoseconds: (uplink + fe_wait + fe_fetch + delivery) - ack ==
-  // t5 - t2 == T_dynamic, with absent anchors collapsed onto their
-  // predecessor.
-  ASSERT_NE(result.trace, nullptr);
-  const analysis::SpanAttributionResult walked =
-      analysis::extract_attribution(result.trace->spans(), result.boundary);
-  ASSERT_EQ(walked.queries.size(), result.attribution.queries());
-  for (const analysis::AttributedQuery& q : walked.queries) {
-    ASSERT_TRUE(q.ok);
-    const obs::QueryAttribution::Sample& s = q.sample;
-    const std::int64_t a0 = s.t1;
-    const std::int64_t a1 = s.fe_recv >= 0 ? s.fe_recv : a0;
-    const std::int64_t a2 = s.fetch_start >= 0 ? s.fetch_start : a1;
-    const std::int64_t a3 = s.fetch_first_byte >= 0 ? s.fetch_first_byte : a2;
-    const std::int64_t sum =
-        (a1 - a0) + (a2 - a1) + (a3 - a2) + (s.t5 - a3) - (s.t2 - s.t1);
-    EXPECT_EQ(sum, s.t5 - s.t2) << q.node << "/" << q.keyword;
-    EXPECT_EQ(q.t_dynamic_ms, static_cast<double>(s.t5 - s.t2) / 1e6);
+    // Re-walk the span forest and check the identity per query in integer
+    // nanoseconds: (uplink + fe_wait + fe_fetch + delivery) - ack ==
+    // t5 - t2 == T_dynamic, with absent anchors collapsed onto their
+    // predecessor.
+    ASSERT_NE(result.trace, nullptr);
+    const analysis::SpanAttributionResult walked =
+        analysis::extract_attribution(result.trace->spans(), result.boundary);
+    ASSERT_EQ(walked.queries.size(), result.attribution.queries());
+    for (const analysis::AttributedQuery& q : walked.queries) {
+      ASSERT_TRUE(q.ok);
+      const obs::QueryAttribution::Sample& s = q.sample;
+      const std::int64_t a0 = s.t1;
+      const std::int64_t a1 = s.fe_recv >= 0 ? s.fe_recv : a0;
+      const std::int64_t a2 = s.fetch_start >= 0 ? s.fetch_start : a1;
+      const std::int64_t a3 =
+          s.fetch_first_byte >= 0 ? s.fetch_first_byte : a2;
+      const std::int64_t sum =
+          (a1 - a0) + (a2 - a1) + (a3 - a2) + (s.t5 - a3) - (s.t2 - s.t1);
+      EXPECT_EQ(sum, s.t5 - s.t2) << q.node << "/" << q.keyword;
+      EXPECT_EQ(q.t_dynamic_ms, static_cast<double>(s.t5 - s.t2) / 1e6);
+    }
   }
 }
 

@@ -27,6 +27,7 @@
 #include "obs/export_prometheus.hpp"
 #include "obs/memory.hpp"
 #include "search/keywords.hpp"
+#include "sim/parse.hpp"
 #include "testbed/parallel_experiment.hpp"
 #include "testbed/scenario.hpp"
 
@@ -131,30 +132,29 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     } else if (auto v = value("--service=")) {
       opt.service = *v;
     } else if (auto v = value("--clients=")) {
-      opt.clients = static_cast<std::size_t>(std::strtoull(v->c_str(),
-                                                           nullptr, 10));
+      if (!sim::parse_flag("--clients", *v, opt.clients)) return std::nullopt;
     } else if (auto v = value("--reps=")) {
-      opt.reps = static_cast<std::size_t>(std::strtoull(v->c_str(), nullptr,
-                                                        10));
+      if (!sim::parse_flag("--reps", *v, opt.reps)) return std::nullopt;
     } else if (auto v = value("--seed=")) {
-      opt.seed = std::strtoull(v->c_str(), nullptr, 10);
+      if (!sim::parse_flag("--seed", *v, opt.seed)) return std::nullopt;
     } else if (auto v = value("--save-traces=")) {
       opt.save_traces = *v;
     } else if (auto v = value("--threads=")) {
-      opt.threads = static_cast<std::size_t>(std::strtoull(v->c_str(),
-                                                           nullptr, 10));
+      if (!sim::parse_flag("--threads", *v, opt.threads)) return std::nullopt;
     } else if (auto v = value("--shards-per-scenario=")) {
-      opt.sim_shards = static_cast<std::size_t>(std::strtoull(v->c_str(),
-                                                              nullptr, 10));
+      if (!sim::parse_flag("--shards-per-scenario", *v, opt.sim_shards)) {
+        return std::nullopt;
+      }
     } else if (auto v = value("--shards=")) {
-      opt.shards = static_cast<std::size_t>(std::strtoull(v->c_str(),
-                                                          nullptr, 10));
+      if (!sim::parse_flag("--shards", *v, opt.shards)) return std::nullopt;
     } else if (auto v = value("--trace-out=")) {
       opt.trace_out = *v;
     } else if (auto v = value("--metrics-out=")) {
       opt.metrics_out = *v;
     } else if (auto v = value("--ts-interval=")) {
-      opt.ts_interval_ms = std::strtod(v->c_str(), nullptr);
+      if (!sim::parse_flag("--ts-interval", *v, opt.ts_interval_ms)) {
+        return std::nullopt;
+      }
     } else if (auto v = value("--ts-out=")) {
       opt.ts_out = *v;
     } else if (auto v = value("--ts-runtime-out=")) {
@@ -164,7 +164,9 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     } else if (auto v = value("--slow-log=")) {
       opt.slow_log = *v;
     } else if (auto v = value("--slow-threshold=")) {
-      opt.slow_threshold_ms = std::strtod(v->c_str(), nullptr);
+      if (!sim::parse_flag("--slow-threshold", *v, opt.slow_threshold_ms)) {
+        return std::nullopt;
+      }
     } else if (auto v = value("--capture-budget=")) {
       const auto bytes = testbed::parse_byte_size(*v);
       if (!bytes) {
@@ -197,11 +199,6 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
   }
   if (opt.clients == 0 || opt.reps == 0) {
     std::fprintf(stderr, "--clients and --reps must be positive\n");
-    return std::nullopt;
-  }
-  if (opt.ts_interval_ms < 0.0 || opt.slow_threshold_ms < 0.0) {
-    std::fprintf(stderr,
-                 "--ts-interval and --slow-threshold must be >= 0\n");
     return std::nullopt;
   }
   // A requested time-series output without an interval gets the default

@@ -49,6 +49,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/reassembly.hpp"
@@ -62,6 +63,7 @@
 #include "obs/attribution.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "sim/parse.hpp"
 
 using namespace dyncdn;
 
@@ -371,7 +373,7 @@ int inspect_spans(int argc, char** argv) {
     if (arg.starts_with("--diff=")) {
       diff_path = arg.substr(7);
     } else if (arg.starts_with("--boundary=")) {
-      boundary = std::strtoull(argv[i] + 11, nullptr, 10);
+      if (!sim::parse_flag("--boundary", arg.substr(11), boundary)) return 2;
     } else if (arg.starts_with("--node=")) {
       node_name = arg.substr(7);
     } else if (arg == "--tree") {
@@ -582,7 +584,7 @@ int inspect_attribution(int argc, char** argv) {
     if (arg.starts_with("--diff=")) {
       diff_path = arg.substr(7);
     } else if (arg.starts_with("--boundary=")) {
-      boundary = std::strtoull(argv[i] + 11, nullptr, 10);
+      if (!sim::parse_flag("--boundary", arg.substr(11), boundary)) return 2;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return 2;
@@ -850,6 +852,9 @@ int inspect_slow(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 
 int inspect_packets(int argc, char** argv) {
+  // Boundary: explicit argument, or content analysis over the responses.
+  std::size_t boundary = 0;
+  if (argc > 2 && !sim::parse_flag("boundary", argv[2], boundary)) return 2;
   capture::PacketTrace trace;
   try {
     trace = capture::load_trace(argv[1]);
@@ -864,9 +869,6 @@ int inspect_packets(int argc, char** argv) {
   const auto flows = web.flows();
   std::printf("web connections: %zu\n", flows.size());
 
-  // Boundary: explicit argument, or content analysis over the responses.
-  std::size_t boundary =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 0;
   if (boundary == 0) {
     std::size_t responses = 0;
     boundary = boundary_from_capture(web, &responses);
