@@ -11,11 +11,6 @@ namespace dyncdn::net {
 
 namespace {
 
-/// Per-thread slab of Packet-sized blocks. Each simulation shard runs
-/// single-threaded between barriers, so no locking; blocks released on a
-/// different thread than they were acquired on simply migrate pools.
-thread_local mem::SlabPool t_packet_slab(sizeof(Packet), 256);
-
 /// Payload buffers are variable-size, so they are served from a small set
 /// of size-class slabs; anything larger than the top class falls back to
 /// the heap. Classes cover the common cases: ACK-less small writes and
@@ -26,21 +21,28 @@ constexpr std::size_t kClassBlocksPerChunk[] = {64, 32, 8, 4};
 constexpr std::size_t kClassCount = std::size(kClassCapacity);
 constexpr std::uint8_t kHeapClass = 0xFF;
 
-struct BufferPools {
-  mem::SlabPool cls[kClassCount] = {
-      mem::SlabPool(sizeof(ByteBuf) + kClassCapacity[0],
-                    kClassBlocksPerChunk[0]),
-      mem::SlabPool(sizeof(ByteBuf) + kClassCapacity[1],
-                    kClassBlocksPerChunk[1]),
-      mem::SlabPool(sizeof(ByteBuf) + kClassCapacity[2],
-                    kClassBlocksPerChunk[2]),
-      mem::SlabPool(sizeof(ByteBuf) + kClassCapacity[3],
-                    kClassBlocksPerChunk[3]),
+/// This thread's lock-free caches, one per block size. Packets and buffers
+/// are acquired on one shard worker and released on another (mailbox
+/// hand-off, zero-copy reassembly across the cut), and the scenario
+/// outlives the workers of each windowed run, so a block goes back to the
+/// home of the thread that carved it, and that home keeps its chunks
+/// until every block is back (mem::BlockCache).
+struct Caches {
+  mem::BlockCache packet{sizeof(Packet), 256};
+  mem::BlockCache cls[kClassCount] = {
+      mem::BlockCache(sizeof(ByteBuf) + kClassCapacity[0],
+                      kClassBlocksPerChunk[0]),
+      mem::BlockCache(sizeof(ByteBuf) + kClassCapacity[1],
+                      kClassBlocksPerChunk[1]),
+      mem::BlockCache(sizeof(ByteBuf) + kClassCapacity[2],
+                      kClassBlocksPerChunk[2]),
+      mem::BlockCache(sizeof(ByteBuf) + kClassCapacity[3],
+                      kClassBlocksPerChunk[3]),
   };
 };
-static_assert(kClassCount == 4, "pool initializers above track the classes");
+static_assert(kClassCount == 4, "cache initializers above track the classes");
 
-thread_local BufferPools t_buffer_pools;
+thread_local Caches t_caches;
 
 std::uint8_t class_for(std::size_t size) {
   for (std::size_t c = 0; c < kClassCount; ++c) {
@@ -55,7 +57,7 @@ ByteBuf* allocate_bytebuf(std::size_t size) {
   const std::uint8_t cls = class_for(size);
   void* block = cls == kHeapClass
                     ? ::operator new(sizeof(ByteBuf) + size)
-                    : t_buffer_pools.cls[cls].allocate();
+                    : t_caches.cls[cls].allocate();
   auto* b = new (block) ByteBuf();
   b->size_ = static_cast<std::uint32_t>(size);
   b->cls_ = cls;
@@ -68,7 +70,7 @@ void release_bytebuf(ByteBuf* b) noexcept {
   if (cls == kHeapClass) {
     ::operator delete(b);
   } else {
-    t_buffer_pools.cls[cls].deallocate(b);
+    t_caches.cls[cls].deallocate(b);
   }
 }
 
@@ -84,19 +86,21 @@ Buffer make_buffer(std::string_view text) {
 }
 
 PacketPtr acquire_packet() {
-  return PacketPtr(new (t_packet_slab.allocate()) Packet());
+  return PacketPtr(new (t_caches.packet.allocate()) Packet());
 }
 
 void release_packet(Packet* p) noexcept {
   p->~Packet();
-  t_packet_slab.deallocate(p);
+  t_caches.packet.deallocate(p);
 }
 
-std::size_t packet_pool_free_count() { return t_packet_slab.free_count(); }
+std::size_t packet_pool_free_count() {
+  return t_caches.packet.free_count();
+}
 
 std::size_t buffer_pool_free_count() {
   std::size_t n = 0;
-  for (const mem::SlabPool& pool : t_buffer_pools.cls) n += pool.free_count();
+  for (const mem::BlockCache& cache : t_caches.cls) n += cache.free_count();
   return n;
 }
 

@@ -6,16 +6,23 @@
 // content analysis the paper performs on full tcpdump payloads.
 //
 // Allocation discipline (see docs/PERF.md): both the Packet and the payload
-// ByteBuf are intrusively refcounted objects served from per-thread slab
-// free lists — steady-state per-segment cost is a free-list pop, no heap
-// allocation and no shared_ptr control block. Refcounts are deliberately
-// NON-atomic: within a shard every reference is touched by one thread, and
-// cross-shard handoff only happens through mailbox flushes at window
-// barriers (or replica joins), which already synchronize. Blocks released
-// on a different thread than they were acquired on migrate to the
-// releasing thread's pool.
+// ByteBuf are intrusively refcounted objects served from slab blocks —
+// steady-state per-segment cost is a free-list pop from the acquiring
+// thread's cache, no heap allocation and no shared_ptr control block. A
+// block may be released on any thread, and stays valid after the thread
+// that acquired it exits: it goes back to the home of the thread that
+// carved it, and a home frees its chunks only once all of its blocks are
+// back (mem::BlockCache).
+//
+// ByteBuf counts are atomic: the receiver's TCP reassembly keeps zero-copy
+// slices of the sender's buffer, so across a cross-shard cut two shard
+// workers copy and drop references to one buffer inside the same window.
+// Packet counts stay plain: every reference to a packet lives on one shard
+// at a time, and a packet crosses shards only through the mailbox flush at
+// a window barrier (or a replica join), which already synchronizes.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -47,7 +54,7 @@ class ByteBuf {
   friend ByteBuf* allocate_bytebuf(std::size_t size);
   friend void release_bytebuf(ByteBuf* b) noexcept;
 
-  std::uint32_t refs_ = 1;
+  std::atomic<std::uint32_t> refs_{1};  // atomic: see header comment
   std::uint32_t size_ = 0;
   std::uint8_t cls_ = 0;  // size-class index; kHeapClass = plain heap
 };
@@ -61,17 +68,19 @@ void release_bytebuf(ByteBuf* b) noexcept;
 /// Intrusive handle to an immutable shared ByteBuf. API-compatible with the
 /// shared_ptr<const vector> it replaced at the sites that mattered:
 /// `buf->data()`, `buf->size()`, truthiness and equality all behave the
-/// same; the control block and atomic refcount are gone.
+/// same; the control block is gone. Copies and drops may run on different
+/// threads at once: the count is atomic, and the drop that takes it from
+/// 1 to 0 frees the buffer.
 class Buffer {
  public:
   Buffer() = default;
   Buffer(std::nullptr_t) {}  // NOLINT: mirror shared_ptr's null literal
   Buffer(const Buffer& o) : b_(o.b_) {
-    if (b_ != nullptr) ++b_->refs_;
+    if (b_ != nullptr) b_->refs_.fetch_add(1, std::memory_order_relaxed);
   }
   Buffer(Buffer&& o) noexcept : b_(o.b_) { o.b_ = nullptr; }
   Buffer& operator=(const Buffer& o) {
-    if (o.b_ != nullptr) ++o.b_->refs_;
+    if (o.b_ != nullptr) o.b_->refs_.fetch_add(1, std::memory_order_relaxed);
     reset();
     b_ = o.b_;
     return *this;
@@ -87,7 +96,10 @@ class Buffer {
   ~Buffer() { reset(); }
 
   void reset() {
-    if (b_ != nullptr && --b_->refs_ == 0) release_bytebuf(b_);
+    if (b_ != nullptr &&
+        b_->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      release_bytebuf(b_);
+    }
     b_ = nullptr;
   }
 
@@ -104,6 +116,11 @@ class Buffer {
   explicit operator bool() const { return b_ != nullptr; }
   friend bool operator==(const Buffer& a, const Buffer& b) {
     return a.b_ == b.b_;
+  }
+
+  /// References to the pointee (tests/debugging).
+  std::uint32_t use_count() const {
+    return b_ == nullptr ? 0 : b_->refs_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -236,12 +253,12 @@ struct Packet {
   std::uint32_t refs_ = 1;  // non-atomic: see header comment
 };
 
-/// Destroy and return the block to the releasing thread's slab.
+/// Destroy and return the block to the releasing thread's cache.
 void release_packet(Packet* p) noexcept;
 
 /// Intrusive shared handle to a slab-allocated Packet. Drop-in for the
 /// shared_ptr<Packet> it replaced: capture taps may retain packets
-/// arbitrarily long; the storage goes back to the slab of the releasing
+/// arbitrarily long; the storage goes back to the cache of the releasing
 /// thread when the last reference drops.
 class PacketPtr {
  public:
@@ -290,7 +307,7 @@ class PacketPtr {
   Packet* p_ = nullptr;
 };
 
-/// Allocate a zeroed Packet from a thread-local slab free list. The
+/// Allocate a zeroed Packet from this thread's block cache. The
 /// per-segment cost on the TCP hot path is a free-list pop instead of a
 /// heap allocation, and the returned PacketPtr bumps a plain (non-atomic)
 /// intrusive count instead of a shared_ptr control block.

@@ -1,6 +1,7 @@
 // Unit tests for the hot-path memory subsystem (src/mem/): SlabPool /
-// TypedSlab block recycling, Arena bump allocation and reset, FlatMap
-// open-addressing semantics and determinism — plus, under ASan builds,
+// TypedSlab block recycling, BlockCache hand-back across threads, Arena
+// bump allocation and reset, FlatMap open-addressing semantics and
+// determinism — plus, under ASan builds,
 // death tests proving that use-after-release of slab/arena memory faults
 // (the free lists are poisoned, so stale pointers behave like a heap
 // use-after-free instead of silently reading recycled state).
@@ -8,7 +9,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mem/arena.hpp"
@@ -58,6 +61,30 @@ TEST(SlabPool, RoundsBlockSizeUpToMaxAlign) {
   SlabPool pool(1);
   EXPECT_GE(pool.block_size(), alignof(std::max_align_t));
   EXPECT_EQ(pool.block_size() % alignof(std::max_align_t), 0u);
+}
+
+// Blocks released on another thread go back to the home of the cache that
+// carved them, at most two batches at a time while that thread runs and
+// the rest when it exits; the carving cache reuses them before it carves
+// another chunk.
+TEST(BlockCache, BlocksGoHomeToTheCacheThatCarvedThem) {
+  BlockCache carver(64, /*batch=*/4);
+  std::vector<void*> blocks;
+  for (int i = 0; i < 20; ++i) blocks.push_back(carver.allocate());
+  EXPECT_EQ(carver.free_count(), 0u);  // five whole chunks handed out
+  std::thread([&blocks] {
+    BlockCache releaser(64, /*batch=*/4);
+    for (void* p : blocks) {
+      releaser.deallocate(p);
+      EXPECT_LE(releaser.free_count(), 8u);
+    }
+  }).join();
+  std::set<void*> again;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    again.insert(carver.allocate());
+  }
+  EXPECT_EQ(again, std::set<void*>(blocks.begin(), blocks.end()));
+  for (void* p : again) carver.deallocate(p);
 }
 
 TEST(TypedSlab, RunsConstructorAndDestructor) {

@@ -1,9 +1,13 @@
-// Unit tests for the network substrate: payload views, loss models, links
-// (delay, serialization, queuing), routing and geo math.
+// Unit tests for the network substrate: payload views, packet and payload
+// memory across threads, loss models, links (delay, serialization,
+// queuing), routing and geo math.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/geo.hpp"
@@ -11,6 +15,7 @@
 #include "net/loss_model.hpp"
 #include "net/network.hpp"
 #include "net/packet.hpp"
+#include "obs/memory.hpp"
 #include "sim/simulator.hpp"
 
 namespace dyncdn::net {
@@ -56,6 +61,108 @@ TEST(Packet, WireSizeIncludesHeaders) {
   EXPECT_EQ(p->payload_size(), 100u);
   EXPECT_EQ(p->wire_size(), 140u);
   EXPECT_FALSE(p->to_string().empty());
+}
+
+// A shard worker's thread exits at the end of every windowed run, while
+// the scenario and its packets live on. Blocks acquired on such a thread
+// must stay valid after it is joined, and reusing them on this thread and
+// on a new one must never hand one block out twice.
+TEST(PacketMemory, BlocksOutliveTheThreadThatAcquiredThem) {
+  PacketPtr packet;
+  Buffer buffer;
+  std::thread([&packet, &buffer] {
+    packet = make_packet(NodeId{1}, NodeId{2}, 100);
+    buffer = make_buffer("acquired on a worker");
+  }).join();
+  EXPECT_EQ(packet->payload_size(), 100u);
+  EXPECT_EQ(packet->payload.bytes()[99], 0xAB);
+  EXPECT_EQ(PayloadRef(buffer, 0, buffer->size()).to_text(),
+            "acquired on a worker");
+  packet.reset();
+  buffer.reset();
+
+  // More than one batch of packet blocks on each side, so both this
+  // thread's cache and the new thread's carve or refill while the joined
+  // thread's blocks are back in circulation.
+  constexpr std::uint64_t kBlocks = 600;
+  const auto fill = [](std::vector<PacketPtr>& packets,
+                       std::vector<Buffer>& buffers, std::uint64_t first) {
+    for (std::uint64_t i = first; i < first + kBlocks; ++i) {
+      packets.push_back(make_packet(NodeId{1}, NodeId{2}, 0));
+      packets.back()->id = i;
+      buffers.push_back(make_buffer(std::to_string(i)));
+    }
+  };
+  std::vector<PacketPtr> packets;
+  std::vector<Buffer> buffers;
+  fill(packets, buffers, 0);
+  std::vector<PacketPtr> other_packets;
+  std::vector<Buffer> other_buffers;
+  std::thread([&] { fill(other_packets, other_buffers, kBlocks); }).join();
+  packets.insert(packets.end(), other_packets.begin(), other_packets.end());
+  buffers.insert(buffers.end(), other_buffers.begin(), other_buffers.end());
+
+  std::set<const void*> seen;
+  for (std::uint64_t i = 0; i < packets.size(); ++i) {
+    EXPECT_TRUE(seen.insert(packets[i].get()).second) << "packet " << i;
+    EXPECT_TRUE(seen.insert(buffers[i].get()).second) << "buffer " << i;
+    EXPECT_EQ(packets[i]->id, i);
+    EXPECT_EQ(PayloadRef(buffers[i], 0, buffers[i]->size()).to_text(),
+              std::to_string(i));
+  }
+}
+
+// Across a cross-shard cut the receiver's TCP reassembly keeps zero-copy
+// slices of the sender's payload buffer, so two shard workers copy and
+// drop references to one buffer at the same time. The count must stay
+// exact, and the drop that ends the last reference frees the buffer
+// exactly once.
+TEST(PacketMemory, BufferCountSurvivesConcurrentCopiesAndDrops) {
+  constexpr int kCopies = 200000;
+  Buffer shared = make_buffer(std::string(1000, 'x'));
+  std::atomic<int> ready{0};
+  const auto hammer = [&ready](Buffer mine) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) {
+    }
+    // Round-robin over a few handles: each assignment takes a reference
+    // and drops the one that slot held before.
+    Buffer held[8];
+    for (int i = 0; i < kCopies; ++i) held[i % 8] = mine;
+  };
+  std::thread a(hammer, shared);
+  std::thread b(hammer, shared);
+  a.join();
+  b.join();
+  EXPECT_EQ(shared.use_count(), 1u);
+
+  // Each round's buffer has exactly two references, one per thread, and
+  // both threads drop them at once. Above the top size class, so a free
+  // is a heap delete the allocation tracker sees (when compiled in).
+  constexpr std::size_t kRounds = 256;
+  std::vector<Buffer> left;
+  std::vector<Buffer> right;
+  left.reserve(kRounds);
+  right.reserve(kRounds);
+  const std::uint64_t live_before = obs::memory_snapshot().live_bytes;
+  for (std::size_t i = 0; i < kRounds; ++i) {
+    left.push_back(Buffer::adopt(allocate_bytebuf(70000)));
+    right.push_back(left.back());
+  }
+  ready.store(0);
+  const auto drop_all = [&ready](std::vector<Buffer>& mine) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) {
+    }
+    for (Buffer& buf : mine) buf.reset();
+  };
+  std::thread c(drop_all, std::ref(left));
+  std::thread d(drop_all, std::ref(right));
+  c.join();
+  d.join();
+  if (obs::memory_tracking_enabled()) {
+    EXPECT_EQ(obs::memory_snapshot().live_bytes, live_before);
+  }
 }
 
 TEST(FlowIdentity, ReverseSwapsEndpoints) {
