@@ -1,18 +1,37 @@
 #include "capture/recorder.hpp"
 
 #include "capture/spill.hpp"
+#include "net/network.hpp"
 
 namespace dyncdn::capture {
 
 TraceRecorder::TraceRecorder(net::Node& node, sim::Simulator& simulator,
                              RecorderOptions options)
-    : simulator_(simulator), options_(options), trace_(node.id()) {
+    : network_(node.network()),
+      simulator_(simulator),
+      options_(options),
+      trace_(node.id()) {
   node.add_send_tap([this](const net::PacketPtr& p) {
     record(Direction::kSent, p);
   });
   node.add_receive_tap([this](const net::PacketPtr& p) {
     record(Direction::kReceived, p);
   });
+  if (options_.capture_payloads) network_.add_payload_reader();
+}
+
+TraceRecorder::~TraceRecorder() {
+  if (options_.capture_payloads) network_.remove_payload_reader();
+}
+
+void TraceRecorder::set_capture_payloads(bool v) {
+  if (v == options_.capture_payloads) return;
+  if (v) {
+    network_.add_payload_reader();
+  } else {
+    network_.remove_payload_reader();
+  }
+  options_.capture_payloads = v;
 }
 
 void TraceRecorder::clear() {

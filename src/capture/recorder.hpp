@@ -14,7 +14,10 @@ class SpillWriter;  // capture/spill.hpp
 
 struct RecorderOptions {
   /// Retain full payload bytes (needed for content analysis). Headers-only
-  /// captures are cheaper for long load experiments.
+  /// captures are cheaper for long load experiments. A recorder capturing
+  /// payloads is a payload reader of its node's network
+  /// (net::Network::add_payload_reader), so the BE writes real response
+  /// bodies only while one exists.
   bool capture_payloads = true;
   /// Keep every PacketRecord in the trace buffer. Streaming campaigns turn
   /// this off: packets still flow to the sink, but nothing accumulates.
@@ -25,12 +28,16 @@ struct RecorderOptions {
 ///
 /// Lifetime: the recorder registers taps on construction; the taps hold a
 /// pointer to it, so it must outlive the node's traffic (recorders are
-/// created once per experiment and kept until analysis completes).
+/// created once per experiment and kept until analysis completes). Its
+/// payload-reader registration is held on the node's network, so the
+/// recorder must be destroyed before that network.
 /// Recording can be paused/resumed between experiment phases.
 class TraceRecorder {
  public:
   TraceRecorder(net::Node& node, sim::Simulator& simulator,
                 RecorderOptions options = {});
+
+  ~TraceRecorder();
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
@@ -43,8 +50,10 @@ class TraceRecorder {
   bool recording() const { return recording_; }
 
   /// Toggle payload retention (e.g. on for a boundary-discovery phase,
-  /// off for long measurement sweeps to bound memory).
-  void set_capture_payloads(bool v) { options_.capture_payloads = v; }
+  /// off for long measurement sweeps to bound memory). Registers or
+  /// unregisters the recorder as a payload reader, so call it only between
+  /// runs.
+  void set_capture_payloads(bool v);
   bool capture_payloads() const { return options_.capture_payloads; }
 
   /// Toggle trace-buffer retention. The sink keeps observing either way.
@@ -91,6 +100,7 @@ class TraceRecorder {
   void record(Direction direction, const net::PacketPtr& packet);
   void spill_buffer();
 
+  net::Network& network_;
   sim::Simulator& simulator_;
   RecorderOptions options_;
   PacketTrace trace_;

@@ -8,6 +8,7 @@
 
 #include "http/message.hpp"
 #include "http/parser.hpp"
+#include "net/network.hpp"
 #include "obs/obs.hpp"
 
 namespace dyncdn::cdn {
@@ -46,29 +47,31 @@ std::size_t warmup_bytes_from_request(const http::HttpRequest& req) {
   return v;
 }
 
+/// The byte that fills a body nothing reads. Any constant works: a body
+/// is filled only while no component looks at payload bytes.
+constexpr std::uint8_t kUnreadBodyByte = 'x';
+
 /// One wire buffer holding a length-framed response: the head, with an
 /// explicit Content-Length so it matches serialize() byte for byte, then
-/// `body_len` bytes written in place by `fill`.
-template <class Fill>
-net::PayloadRef length_framed_wire(http::HttpResponse& resp,
-                                   std::size_t body_len, Fill&& fill) {
+/// room for `body_len` body bytes.
+FramedResponse length_framed_wire(http::HttpResponse& resp,
+                                  std::size_t body_len) {
   resp.set_header("Content-Length", std::to_string(body_len));
   const std::string head = resp.serialize_head();
   net::ByteBuf* buf = net::allocate_bytebuf(head.size() + body_len);
   std::memcpy(buf->mutable_data(), head.data(), head.size());
-  fill(buf->mutable_data() + head.size());
-  return net::PayloadRef{net::Buffer::adopt(buf), 0, head.size() + body_len};
+  return {net::PayloadRef{net::Buffer::adopt(buf), 0, head.size() + body_len},
+          std::span<std::uint8_t>(buf->mutable_data() + head.size(),
+                                  body_len)};
 }
 
 }  // namespace
 
-net::PayloadRef fetch_response_wire(std::uint64_t query_id,
-                                    std::string_view body) {
+FramedResponse fetch_response_wire(std::uint64_t query_id,
+                                   std::size_t body_len) {
   http::HttpResponse resp;
   resp.set_header("X-Query-Id", std::to_string(query_id));
-  return length_framed_wire(resp, body.size(), [body](std::uint8_t* out) {
-    if (!body.empty()) std::memcpy(out, body.data(), body.size());
-  });
+  return length_framed_wire(resp, body_len);
 }
 
 net::PayloadRef warmup_response_wire(std::uint64_t query_id,
@@ -76,9 +79,9 @@ net::PayloadRef warmup_response_wire(std::uint64_t query_id,
   http::HttpResponse resp;
   resp.set_header("X-Query-Id", std::to_string(query_id));
   resp.set_header("X-Warmup", "1");
-  return length_framed_wire(resp, bytes, [bytes](std::uint8_t* out) {
-    std::memset(out, 'w', bytes);
-  });
+  FramedResponse r = length_framed_wire(resp, bytes);
+  std::memset(r.body.data(), 'w', r.body.size());
+  return std::move(r.wire);
 }
 
 BackendDataCenter::BackendDataCenter(net::Node& node,
@@ -122,10 +125,19 @@ void BackendDataCenter::remember_query(const std::string& text) {
   }
 }
 
+void BackendDataCenter::write_body(const search::Keyword& keyword,
+                                   const search::DynamicSize& size,
+                                   std::uint8_t* out) const {
+  if (node_.network().payload_readers() > 0) {
+    content_.write_dynamic(keyword, size, reinterpret_cast<char*>(out));
+  } else {
+    std::memset(out, kUnreadBodyByte, size.bytes);
+  }
+}
+
 void BackendDataCenter::process_query(
     const search::Keyword& keyword, std::uint64_t query_id,
-    [[maybe_unused]] std::uint64_t trace_parent,
-    std::function<void(std::string)> done) {
+    [[maybe_unused]] std::uint64_t trace_parent, BodyReady done) {
   sim::Simulator& simulator = node_.simulator();
   const sim::SimTime now = simulator.now();
 
@@ -158,14 +170,15 @@ void BackendDataCenter::process_query(
       t_proc, [this, keyword, query_id, now, t_proc, correlated, span,
                done = std::move(done)]() {
         --active_;
-        std::string body = content_.dynamic_body(keyword, content_rng_);
+        const search::DynamicSize size =
+            content_.dynamic_size(keyword, content_rng_);
         BackendQueryRecord rec;
         rec.query_id = query_id;
         rec.keyword = keyword.text;
         rec.request_received = now;
         rec.processing_done = node_.simulator().now();
         rec.t_proc = t_proc;
-        rec.dynamic_bytes = body.size();
+        rec.dynamic_bytes = size.bytes;
         rec.correlated = correlated;
         query_log_.push_back(std::move(rec));
 #if DYNCDN_OBS
@@ -174,7 +187,7 @@ void BackendDataCenter::process_query(
           trace->end_span(span, node_.simulator().now());
         }
 #endif
-        done(std::move(body));
+        done(keyword, size);
       });
 }
 
@@ -206,11 +219,15 @@ void BackendDataCenter::serve_fetch(tcp::TcpSocket& socket) {
           std::from_chars(span->data(), span->data() + span->size(),
                           trace_parent);
         }
-        process_query(keyword, query_id, trace_parent,
-                      [sock, alive, query_id](std::string body) {
-                        if (!*alive) return;  // FE connection died meanwhile
-                        sock->send(fetch_response_wire(query_id, body));
-                      });
+        process_query(
+            keyword, query_id, trace_parent,
+            [this, sock, alive, query_id](const search::Keyword& kw,
+                                          const search::DynamicSize& size) {
+              if (!*alive) return;  // FE connection died meanwhile
+              FramedResponse r = fetch_response_wire(query_id, size.bytes);
+              write_body(kw, size, r.body.data());
+              sock->send(std::move(r.wire));
+            });
       });
 
   tcp::TcpSocket::Callbacks cb;
@@ -239,7 +256,9 @@ void BackendDataCenter::serve_direct(tcp::TcpSocket& socket) {
   auto parser = std::make_shared<http::RequestParser>(
       [this, sock, alive](http::HttpRequest req) {
         const search::Keyword keyword = keyword_from_request(req);
-        process_query(keyword, 0, 0, [this, sock, alive](std::string body) {
+        process_query(keyword, 0, 0, [this, sock, alive](
+                                         const search::Keyword& kw,
+                                         const search::DynamicSize& size) {
           if (!*alive) return;
           http::HttpResponse resp;
           resp.set_header("Server", config_.name);
@@ -251,7 +270,9 @@ void BackendDataCenter::serve_direct(tcp::TcpSocket& socket) {
           }
           sock->send(net::PayloadRef{static_prefix_buf_, 0,
                                      static_prefix_buf_->size()});
-          sock->send_text(body);
+          net::ByteBuf* body = net::allocate_bytebuf(size.bytes);
+          write_body(kw, size, body->mutable_data());
+          sock->send(net::PayloadRef{net::Buffer::adopt(body), 0, size.bytes});
           sock->close();
         });
       });

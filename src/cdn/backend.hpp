@@ -11,12 +11,21 @@
 // The BE records per-query ground truth (arrival, processing completion,
 // bytes) that tests use to validate the paper's inference bounds — the
 // analysis pipeline itself never reads these records.
+//
+// Response bodies are written only when something reads them. Every body
+// is sized by the content model's layout, but its HTML is written only
+// while the network has a payload reader (net::Network::payload_readers:
+// a recorder capturing payloads, a caching FE). Otherwise the body is the
+// same number of one constant byte. Neither protocol looks at body bytes
+// to frame them (Content-Length to the FE, connection close to the
+// client), so every simulated statistic is the same either way.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cdn/load_model.hpp"
@@ -101,11 +110,18 @@ class BackendDataCenter {
  private:
   void serve_fetch(tcp::TcpSocket& socket);
   void serve_direct(tcp::TcpSocket& socket);
+  /// Called when processing completes, with the query's sized (not yet
+  /// written) dynamic body.
+  using BodyReady = std::function<void(const search::Keyword& keyword,
+                                       const search::DynamicSize& size)>;
   /// `trace_parent` is the caller's span id (from X-Trace-Span; 0 = none):
   /// the be.process span nests under the FE's fe.fetch across nodes.
   void process_query(const search::Keyword& keyword, std::uint64_t query_id,
-                     std::uint64_t trace_parent,
-                     std::function<void(std::string dynamic_body)> done);
+                     std::uint64_t trace_parent, BodyReady done);
+  /// Write one query's dynamic body, `size.bytes` long, at `out`: the real
+  /// page while the network has a payload reader, else one constant byte.
+  void write_body(const search::Keyword& keyword,
+                  const search::DynamicSize& size, std::uint8_t* out) const;
 
   /// True when `text` extends (or repeats) a recently processed query.
   bool is_correlated(const std::string& text) const;
@@ -126,11 +142,19 @@ class BackendDataCenter {
   std::deque<std::string> recent_queries_;  // newest at the back
 };
 
-/// Wire bytes of the BE's length-framed fetch response to query
-/// `query_id`: one buffer, byte-identical to HttpResponse::serialize() of
-/// the same response, with `body` copied in once.
-net::PayloadRef fetch_response_wire(std::uint64_t query_id,
-                                    std::string_view body);
+/// A length-framed BE response in its one wire buffer: the head is
+/// written, and `body` (the buffer's tail) is left for the producer to
+/// write in place before sending `wire`.
+struct FramedResponse {
+  net::PayloadRef wire;
+  std::span<std::uint8_t> body;
+};
+
+/// The BE's fetch response to query `query_id` with a `body_len`-byte
+/// body. Once the body is written, `wire` is byte-identical to
+/// HttpResponse::serialize() of the same response.
+FramedResponse fetch_response_wire(std::uint64_t query_id,
+                                   std::size_t body_len);
 
 /// Wire bytes of the BE's /warmup response: `bytes` of 'w' written
 /// straight into the wire buffer behind the head.

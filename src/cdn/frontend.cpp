@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "http/message.hpp"
+#include "net/network.hpp"
 #include "obs/obs.hpp"
 
 #if DYNCDN_OBS
@@ -37,6 +38,11 @@ FrontEndServer::FrontEndServer(net::Node& node,
   // Open (and optionally warm) the first pool connection eagerly so the
   // very first query does not pay the handshake.
   open_backend_conn(config_.warm_backend_connection);
+  if (config_.cache_results) node_.network().add_payload_reader();
+}
+
+FrontEndServer::~FrontEndServer() {
+  if (config_.cache_results) node_.network().remove_payload_reader();
 }
 
 bool FrontEndServer::backend_connected() const {

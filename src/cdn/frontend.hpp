@@ -83,7 +83,9 @@ class FrontEndServer {
 
     /// Cache dynamic results at the FE keyed by request target. The paper
     /// §3 concludes real FEs do NOT do this; the caching-experiment bench
-    /// flips it on to show what the detector would see if they did.
+    /// flips it on to show what the detector would see if they did. A
+    /// caching FE replays stored bytes later, so it counts as a payload
+    /// reader of its network (the BE then writes real bodies).
     bool cache_results = false;
 
     tcp::TcpConfig client_tcp;
@@ -92,6 +94,10 @@ class FrontEndServer {
 
   FrontEndServer(net::Node& node, const search::ContentModel& content,
                  Config config);
+  ~FrontEndServer();
+
+  FrontEndServer(const FrontEndServer&) = delete;
+  FrontEndServer& operator=(const FrontEndServer&) = delete;
 
   net::Node& node() { return node_; }
   const Config& config() const { return config_; }

@@ -118,6 +118,17 @@ class Network {
   /// Link carrying traffic from `a` on the first hop toward `b`, or null.
   Link* first_hop_link(NodeId a, NodeId b);
 
+  /// Payload readers: components that look at the *bytes* of payloads on
+  /// this network, not only at their lengths (a TraceRecorder capturing
+  /// payloads, an FE that replays cached results). A producer whose bytes
+  /// only such a reader could tell apart (the BE's dynamic body) writes
+  /// real content only while the count is nonzero. A plain counter: only
+  /// host code changes it, and only between runs, so shard workers only
+  /// ever read it.
+  void add_payload_reader() { ++payload_readers_; }
+  void remove_payload_reader() { --payload_readers_; }
+  std::size_t payload_readers() const { return payload_readers_; }
+
  private:
   struct Edge {
     NodeId to;
@@ -199,6 +210,7 @@ class Network {
   /// different shards each mutate their own slot, never a shared word.
   std::vector<std::uint64_t> no_route_by_shard_ = {0};
   std::vector<std::uint64_t> routed_by_shard_ = {0};
+  std::size_t payload_readers_ = 0;
 
   friend class Node;
 };

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 
 namespace dyncdn::search {
 
@@ -46,25 +48,31 @@ inline char letter(std::uint64_t h) {
   return static_cast<char>('a' + static_cast<std::uint32_t>(h >> 33) % 26u);
 }
 
-/// Deterministic printable filler derived from a tag string, appended in
-/// place. The layout runs off the filler's own offset, not out.size(), so
-/// the produced bytes are identical whether out starts empty or mid-page.
+constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
+
+/// FNV-1a over `s`, continuing from `h`: folding a tag in pieces gives the
+/// hash of the whole tag.
+std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
+  for (const char c : s) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+/// Deterministic printable filler: `bytes` bytes at `p` from the letter
+/// stream seeded with `h`, the FNV-1a hash of the filler's tag. The layout
+/// runs off the filler's own offset, so the bytes are the same wherever in
+/// a page the filler sits.
 ///
 /// Lane k produces letters k, k+8, k+16, ... by jumping its chain ahead
 /// eight steps at a time, so the eight multiplies per round are independent.
 /// The letters are written contiguously, then the newline slots are opened
 /// from the back.
-void append_filler(std::string& out, std::string_view tag, std::size_t bytes) {
+void write_filler(char* const p, const std::uint64_t h,
+                  const std::size_t bytes) {
   if (bytes == 0) return;
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : tag) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
-  }
   const std::size_t newlines = (bytes - 1) / kLine;
   const std::size_t letters = bytes - newlines;
-  const std::size_t start = out.size();
-  out.resize(start + bytes);
-  char* const p = out.data() + start;
 
   std::array<std::uint64_t, kLanes> lane;
   for (std::size_t k = 0; k < kLanes; ++k) {
@@ -91,11 +99,96 @@ void append_filler(std::string& out, std::string_view tag, std::size_t bytes) {
   }
 }
 
-std::string filler(std::string_view tag, std::size_t bytes) {
-  std::string out;
-  out.reserve(bytes);
-  append_filler(out, tag, bytes);
-  return out;
+/// Decimal text of `v` in `buf`, without allocating.
+std::string_view decimal(std::array<char, 24>& buf, std::size_t v) {
+  const auto end = std::to_chars(buf.data(), buf.data() + buf.size(), v).ptr;
+  return {buf.data(), static_cast<std::size_t>(end - buf.data())};
+}
+
+/// Layout sink that only counts: the body's size, no bytes written.
+class MeasureSink {
+ public:
+  void put(std::string_view s) { size_ += s.size(); }
+  void fill(std::uint64_t /*seed*/, std::size_t bytes) { size_ += bytes; }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// Layout sink that writes the body's bytes at `out`, which must have room
+/// for everything the layout puts.
+class WriteSink {
+ public:
+  explicit WriteSink(char* out) : out_(out) {}
+  void put(std::string_view s) {
+    std::memcpy(out_ + size_, s.data(), s.size());
+    size_ += s.size();
+  }
+  void fill(std::uint64_t seed, std::size_t bytes) {
+    write_filler(out_ + size_, seed, bytes);
+    size_ += bytes;
+  }
+  std::size_t size() const { return size_; }
+
+ private:
+  char* out_;
+  std::size_t size_ = 0;
+};
+
+/// The dynamic body's layout, the one place its arithmetic lives: literal
+/// pieces go to `out.put`, filler runs (seeded with their tag's hash) to
+/// `out.fill`. Every size below depends only on what the sink has been
+/// given so far, so counting and writing produce the same layout.
+template <class Sink>
+void lay_out_dynamic(const Keyword& keyword, std::string_view service,
+                     std::size_t results_per_page, std::size_t target,
+                     Sink& out) {
+  // Keyword-dependent dynamic menu (the paper: "keyword-dependent dynamic
+  // menu bar, search results and ads").
+  out.put("<div id=\"dynmenu\" data-q=\"");
+  out.put(keyword.text);
+  out.put("\"><a>related:");
+  out.put(keyword.text);
+  out.put("</a></div>\n");
+
+  const std::size_t per_result =
+      (target > out.size() + 64)
+          ? std::max<std::size_t>(
+                64, (target - out.size() - 64) /
+                        std::max<std::size_t>(1, results_per_page))
+          : 64;
+  const std::uint64_t keyword_hash = fnv1a(kFnvBasis, keyword.text);
+  std::array<char, 24> rank_buf;
+  std::array<char, 24> index_buf;
+  for (std::size_t i = 0; i < results_per_page; ++i) {
+    const std::size_t entry_start = out.size();
+    const std::string_view rank = decimal(rank_buf, i + 1);
+    out.put("<div class=\"result\" rank=\"");
+    out.put(rank);
+    out.put("\"><h3>");
+    out.put(keyword.text);
+    out.put(" — result ");
+    out.put(rank);
+    out.put("</h3><p>");
+    const std::size_t entry_size = out.size() - entry_start;
+    if (entry_size + 10 < per_result) {
+      // Filler tag "<keyword>/<i>/<service>".
+      std::uint64_t seed = fnv1a(keyword_hash, "/");
+      seed = fnv1a(seed, decimal(index_buf, i));
+      seed = fnv1a(seed, "/");
+      seed = fnv1a(seed, service);
+      out.fill(seed, per_result - entry_size - 10);
+    }
+    out.put("</p></div>\n");
+  }
+  // The ads filler is sized off the body length *before* the ads div opens
+  // (operand evaluation order of the old chained-+ expression).
+  const std::size_t before_ads = out.size();
+  out.put("<div id=\"ads\">");
+  out.fill(fnv1a(keyword_hash, "/ads"),
+           target > before_ads + 32 ? target - before_ads - 32 : 16);
+  out.put("</div>\n</body>\n</html>\n");
 }
 }  // namespace
 
@@ -115,7 +208,9 @@ ContentModel::ContentModel(ContentProfile profile, std::string service_name)
           ? profile_.static_html_bytes - s.size() - boilerplate
           : 0;
   s += "/*";
-  s += filler(css_tag, css_bytes);
+  const std::size_t css_at = s.size();
+  s.resize(css_at + css_bytes);
+  write_filler(s.data() + css_at, fnv1a(kFnvBasis, css_tag), css_bytes);
   s += "*/\n</style>\n</head>\n<body>\n";
   s += "<div id=\"menubar\">"
        "<a>Web</a><a>Videos</a><a>News</a><a>Shopping</a>"
@@ -129,69 +224,36 @@ std::size_t ContentModel::expected_dynamic_bytes(const Keyword& keyword) const {
          profile_.dynamic_per_word_bytes * keyword.word_count();
 }
 
-std::string ContentModel::dynamic_body(const Keyword& keyword,
+DynamicSize ContentModel::dynamic_size(const Keyword& keyword,
                                        sim::RngStream& rng) const {
   const double noise =
       profile_.dynamic_size_sigma > 0.0
           ? rng.lognormal_median(1.0, profile_.dynamic_size_sigma)
           : 1.0;
-  const std::size_t target = std::max<std::size_t>(
+  DynamicSize size;
+  size.target = std::max<std::size_t>(
       256, static_cast<std::size_t>(
                static_cast<double>(expected_dynamic_bytes(keyword)) * noise));
+  MeasureSink measure;
+  lay_out_dynamic(keyword, service_name_, profile_.results_per_page,
+                  size.target, measure);
+  size.bytes = measure.size();
+  return size;
+}
 
-  // Everything is appended straight into `b` (no per-result temporaries):
-  // this runs once per query on the backend hot path, and the chained
-  // operator+ form cost half a dozen allocations per result entry.
-  std::string b;
-  b.reserve(target + 256);
-  // Keyword-dependent dynamic menu (the paper: "keyword-dependent dynamic
-  // menu bar, search results and ads").
-  b += "<div id=\"dynmenu\" data-q=\"";
-  b += keyword.text;
-  b += "\"><a>related:";
-  b += keyword.text;
-  b += "</a></div>\n";
+void ContentModel::write_dynamic(const Keyword& keyword,
+                                 const DynamicSize& size, char* out) const {
+  WriteSink write(out);
+  lay_out_dynamic(keyword, service_name_, profile_.results_per_page,
+                  size.target, write);
+}
 
-  const std::size_t per_result =
-      (target > b.size() + 64)
-          ? std::max<std::size_t>(64, (target - b.size() - 64) /
-                                          std::max<std::size_t>(
-                                              1, profile_.results_per_page))
-          : 64;
-  std::string tag;  // reused filler seed: "<keyword>/<i>/<service>"
-  tag.reserve(keyword.text.size() + service_name_.size() + 8);
-  for (std::size_t i = 0; i < profile_.results_per_page; ++i) {
-    const std::size_t entry_start = b.size();
-    b += "<div class=\"result\" rank=\"";
-    b += std::to_string(i + 1);
-    b += "\"><h3>";
-    b += keyword.text;
-    b += " — result ";
-    b += std::to_string(i + 1);
-    b += "</h3><p>";
-    const std::size_t entry_size = b.size() - entry_start;
-    if (entry_size + 10 < per_result) {
-      tag.clear();
-      tag += keyword.text;
-      tag += '/';
-      tag += std::to_string(i);
-      tag += '/';
-      tag += service_name_;
-      append_filler(b, tag, per_result - entry_size - 10);
-    }
-    b += "</p></div>\n";
-  }
-  // The ads filler is sized off the body length *before* the ads div opens
-  // (operand evaluation order of the old chained-+ expression).
-  const std::size_t before_ads = b.size();
-  b += "<div id=\"ads\">";
-  tag.clear();
-  tag += keyword.text;
-  tag += "/ads";
-  append_filler(b, tag,
-                target > before_ads + 32 ? target - before_ads - 32 : 16);
-  b += "</div>\n</body>\n</html>\n";
-  return b;
+std::string ContentModel::dynamic_body(const Keyword& keyword,
+                                       sim::RngStream& rng) const {
+  const DynamicSize size = dynamic_size(keyword, rng);
+  std::string body(size.bytes, '\0');
+  write_dynamic(keyword, size, body.data());
+  return body;
 }
 
 }  // namespace dyncdn::search

@@ -11,6 +11,12 @@
 // for every query of a service, so the analyzer's cross-query common-prefix
 // discovery has a real signal to find; the dynamic body embeds the keyword
 // and varies in size with query complexity.
+//
+// One layout routine places the dynamic body's pieces. It runs against a
+// sink that either only counts or writes, so a body's exact size is known
+// before (or without) writing its bytes: the BE sizes every body, but
+// writes its letters only while something reads payload bytes
+// (cdn/backend.hpp).
 #pragma once
 
 #include <cstddef>
@@ -33,6 +39,15 @@ struct ContentProfile {
   std::size_t results_per_page = 10;
 };
 
+/// One query's dynamic portion, sized but not yet written. The size draw
+/// is already made, so writing the body consumes no randomness.
+struct DynamicSize {
+  /// The noisy size the layout aims at.
+  std::size_t target = 0;
+  /// Exact length of the body the layout produces for that target.
+  std::size_t bytes = 0;
+};
+
 class ContentModel {
  public:
   /// `service_name` flavors the static prefix so different services have
@@ -46,6 +61,15 @@ class ContentModel {
   /// The dynamic portion for one query: keyword-dependent result page.
   /// Size varies with word count and the rng draw.
   std::string dynamic_body(const Keyword& keyword, sim::RngStream& rng) const;
+
+  /// The size of the body dynamic_body() would return, making the same
+  /// single rng draw, without writing it.
+  DynamicSize dynamic_size(const Keyword& keyword, sim::RngStream& rng) const;
+
+  /// Write the body sized by dynamic_size() for the same keyword: exactly
+  /// `size.bytes` bytes at `out`, equal to what dynamic_body() returns.
+  void write_dynamic(const Keyword& keyword, const DynamicSize& size,
+                     char* out) const;
 
   /// Deterministic expected size (before noise) — used by tests.
   std::size_t expected_dynamic_bytes(const Keyword& keyword) const;

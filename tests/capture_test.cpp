@@ -1,10 +1,17 @@
 // Capture (tcpdump-like tracing) tests.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "capture/recorder.hpp"
 #include "capture/trace.hpp"
 #include "harness.hpp"
+#include "net/network.hpp"
+#include "search/keywords.hpp"
 #include "tcp/stack.hpp"
+#include "testbed/experiment.hpp"
+#include "testbed/scenario.hpp"
 
 namespace dyncdn::capture {
 namespace {
@@ -175,6 +182,77 @@ TEST(Trace, SymmetricViewsAgreeOnPacketCounts) {
     if (r.direction == Direction::kReceived) ++server_received;
   }
   EXPECT_EQ(client_sent, server_received);
+}
+
+TEST(Recorder, PayloadReaderCountFollowsCaptureAndLifetime) {
+  TwoNodeHarness h;
+  net::Network& network = h.network;
+  RecorderOptions headers_only;
+  headers_only.capture_payloads = false;
+  auto payloads = std::make_unique<TraceRecorder>(*h.client_node,
+                                                  h.simulator);
+  auto headers = std::make_unique<TraceRecorder>(*h.server_node, h.simulator,
+                                                 headers_only);
+  EXPECT_EQ(network.payload_readers(), 1u);
+  headers->set_capture_payloads(true);
+  EXPECT_EQ(network.payload_readers(), 2u);
+  headers->set_capture_payloads(true);  // no change: still one reader each
+  EXPECT_EQ(network.payload_readers(), 2u);
+  payloads->set_capture_payloads(false);
+  payloads->set_capture_payloads(false);
+  EXPECT_EQ(network.payload_readers(), 1u);
+  payloads.reset();
+  EXPECT_EQ(network.payload_readers(), 1u);
+  headers.reset();
+  EXPECT_EQ(network.payload_readers(), 0u);
+}
+
+testbed::ScenarioOptions small_capture_scenario(bool stream) {
+  testbed::ScenarioOptions so;
+  so.profile = cdn::google_like_profile();
+  so.client_count = 4;
+  so.seed = 4242;
+  so.stream_analysis = stream;
+  return so;
+}
+
+TEST(Recorder, DiscoverBoundaryLeavesNoPayloadReader) {
+  // Discovery turns payload capture on for its probe, so the BE writes
+  // real bodies for it, and turns it back off: the measured queries that
+  // follow are again unread.
+  for (const bool stream : {false, true}) {
+    SCOPED_TRACE(stream ? "streaming" : "capture");
+    testbed::Scenario scenario(small_capture_scenario(stream));
+    scenario.warm_up();
+    EXPECT_EQ(scenario.network().payload_readers(), 0u);
+    EXPECT_GT(testbed::discover_boundary(scenario, 0, 0), 0u);
+    EXPECT_EQ(scenario.network().payload_readers(), 0u);
+  }
+}
+
+TEST(Recorder, PayloadCaptureSeesTheKeywordInTheDynamicPayload) {
+  testbed::ScenarioOptions so = small_capture_scenario(false);
+  so.capture_payloads = true;
+  testbed::Scenario scenario(so);
+  EXPECT_EQ(scenario.network().payload_readers(), so.client_count);
+  scenario.warm_up();
+  const search::KeywordCatalog catalog(5);
+  const search::Keyword kw = catalog.figure3_keywords().front();
+  scenario.connect_client_to_fe(0, 0);
+  auto& client = scenario.clients()[0];
+  client.recorder->clear();
+  client.query_client->submit(scenario.fe_endpoint(0), kw,
+                              [](const cdn::QueryResult&) {});
+  scenario.run();
+  std::string received;
+  for (const auto& r : client.recorder->trace().records()) {
+    if (r.direction == Direction::kReceived) received += r.payload.to_text();
+  }
+  const std::size_t menu = received.find("<div id=\"results-begin\">");
+  const std::size_t keyword = received.find("data-q=\"" + kw.text + "\"");
+  ASSERT_NE(menu, std::string::npos);
+  ASSERT_NE(keyword, std::string::npos);
+  EXPECT_GT(keyword, menu) << "the keyword belongs to the dynamic portion";
 }
 
 }  // namespace

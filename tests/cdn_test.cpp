@@ -1,18 +1,29 @@
 // CDN layer integration tests: BE processing model, FE split-TCP relay,
-// static-immediate delivery, caching knob, warm/cold BE connections.
+// static-immediate delivery, caching knob, warm/cold BE connections, and
+// the unread-body rule (bodies are real HTML only while something reads
+// payload bytes; campaigns are identical either way).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
 
+#include "capture/recorder.hpp"
 #include "cdn/backend.hpp"
 #include "cdn/client.hpp"
 #include "cdn/deployment.hpp"
 #include "cdn/frontend.hpp"
 #include "http/message.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 #include "search/content_model.hpp"
+#include "search/keywords.hpp"
 #include "sim/simulator.hpp"
+#include "testbed/experiment.hpp"
+#include "testbed/scenario.hpp"
 
 namespace dyncdn::cdn {
 namespace {
@@ -99,6 +110,16 @@ struct CdnFixture {
 
 const search::Keyword kKeyword{"cloud computing", search::KeywordClass::kPopular,
                                50};
+const std::string kKeywordMarker = "data-q=\"" + kKeyword.text + "\"";
+
+/// Everything `node` receives, as text. A tap is not a payload reader, so
+/// it sees bodies exactly as the BE wrote them.
+std::shared_ptr<std::string> tap_received(net::Node& node) {
+  auto text = std::make_shared<std::string>();
+  node.add_receive_tap(
+      [text](const net::PacketPtr& p) { *text += p->payload.to_text(); });
+  return text;
+}
 
 TEST(Backend, DirectServiceReturnsFullPage) {
   CdnFixture f;
@@ -120,7 +141,10 @@ TEST(Backend, ResponseWireBytesMatchSerialize) {
     http::HttpResponse resp;
     resp.set_header("X-Query-Id", "4242");
     resp.body = body;
-    EXPECT_EQ(fetch_response_wire(4242, body).to_text(), resp.serialize());
+    FramedResponse r = fetch_response_wire(4242, body.size());
+    ASSERT_EQ(r.body.size(), body.size());
+    std::copy(body.begin(), body.end(), r.body.begin());
+    EXPECT_EQ(r.wire.to_text(), resp.serialize());
   }
 
   http::HttpResponse warm;
@@ -180,6 +204,35 @@ TEST(Backend, GroundTruthLogMatchesResponse) {
   EXPECT_EQ(log[0].processing_done - log[0].request_received, log[0].t_proc);
   EXPECT_EQ(r.body_bytes,
             f.content.static_prefix().size() + log[0].dynamic_bytes);
+}
+
+TEST(Backend, BodiesAreRealOnlyWhileSomethingReadsPayloads) {
+  CdnFixture f;
+  EXPECT_EQ(f.network.payload_readers(), 0u);
+  const auto seen = tap_received(*f.client_node);
+  const auto expect_bodies = [&](bool real) {
+    for (const bool direct : {false, true}) {
+      SCOPED_TRACE(direct ? "direct" : "via FE");
+      seen->clear();
+      const QueryResult r = direct ? f.query_direct(kKeyword) : f.query(kKeyword);
+      ASSERT_FALSE(r.failed) << r.failure_reason;
+      // Same length either way; only the bytes differ.
+      EXPECT_EQ(r.body_bytes, f.content.static_prefix().size() +
+                                  f.backend->query_log().back().dynamic_bytes);
+      EXPECT_NE(seen->find(f.content.static_prefix()), std::string::npos);
+      EXPECT_EQ(seen->find(kKeywordMarker) != std::string::npos, real);
+      EXPECT_EQ(seen->find("</html>") != std::string::npos, real);
+    }
+  };
+  expect_bodies(/*real=*/false);
+
+  // A recorder capturing payloads is a reader while it captures them.
+  capture::TraceRecorder recorder(*f.client_node, f.simulator);
+  EXPECT_EQ(f.network.payload_readers(), 1u);
+  expect_bodies(/*real=*/true);
+  recorder.set_capture_payloads(false);
+  EXPECT_EQ(f.network.payload_readers(), 0u);
+  expect_bodies(/*real=*/false);
 }
 
 TEST(Frontend, ResponseContainsStaticPrefixThenDynamic) {
@@ -278,6 +331,26 @@ TEST(Frontend, ResultCacheServesRepeatsLocally) {
   // fetch time (~T_proc + RTT_be), while page delivery time is unchanged.
   EXPECT_LT(second.overall_delay().to_milliseconds(),
             first.overall_delay().to_milliseconds() - 25.0);
+}
+
+TEST(Frontend, ResultCacheReplaysRealBytes) {
+  // A caching FE replays stored bytes later, when a recorder may be
+  // capturing them, so it is a payload reader: the bodies it stores and
+  // replays are the real page.
+  CdnFixture::Options opt;
+  FrontEndServer::Config cfg;
+  cfg.cache_results = true;
+  opt.fe_overrides = cfg;
+  CdnFixture f(opt);
+  EXPECT_EQ(f.network.payload_readers(), 1u);
+  const auto seen = tap_received(*f.client_node);
+  ASSERT_FALSE(f.query(kKeyword).failed);
+  seen->clear();
+  ASSERT_FALSE(f.query(kKeyword).failed);
+  EXPECT_EQ(f.frontend->cache_hits(), 1u);
+  EXPECT_NE(seen->find(kKeywordMarker), std::string::npos);
+  f.frontend.reset();
+  EXPECT_EQ(f.network.payload_readers(), 0u);
 }
 
 TEST(Frontend, CacheDisabledAlwaysFetches) {
@@ -393,6 +466,94 @@ TEST(LoadModelTest, CongestionPenaltyGrowsWithActive) {
   const SimTime t5 = m.draw(rng, SimTime::zero(), 5);
   EXPECT_NEAR(t0.to_milliseconds(), 10.0, 0.01);
   EXPECT_NEAR(t5.to_milliseconds(), 15.0, 0.01);
+}
+
+// ---------------------------------------------------------------------------
+// Unread bodies: a campaign whose every body is real HTML (client payload
+// capture on) and one whose measured bodies are one constant byte must
+// agree on every timing and counter.
+// ---------------------------------------------------------------------------
+
+struct CampaignRun {
+  testbed::ExperimentResult result;
+  std::map<std::string, std::uint64_t> counters;
+  std::uint64_t events = 0;
+  std::size_t payload_readers = 0;
+};
+
+CampaignRun run_campaign(const testbed::ScenarioOptions& so) {
+  testbed::ExperimentOptions eo;
+  eo.reps_per_node = 3;
+  eo.interval = 900_ms;
+  search::KeywordCatalog catalog(5);
+  eo.keywords = {catalog.figure3_keywords().front()};
+
+  testbed::Scenario scenario(so);
+  scenario.warm_up();
+  CampaignRun run;
+  run.result = testbed::run_fixed_fe_experiment(scenario, 0, eo);
+  obs::MetricsRegistry metrics;
+  scenario.collect_metrics(metrics);
+  run.counters = metrics.counters();
+  obs::MetricsRegistry kernel;
+  scenario.collect_kernel_metrics(kernel);
+  run.events = kernel.counter("sim_events_executed");
+  run.payload_readers = scenario.network().payload_readers();
+  return run;
+}
+
+TEST(UnreadBodies, CampaignIdenticalWithRealAndFilledBodies) {
+  // The real run captures payloads in capture mode. The filled run is the
+  // default streaming run, except under loss and reordering, where it stays
+  // in capture mode: there the two analysis modes disagree on overall_ms
+  // whatever the bodies hold, so only the bodies may differ between runs.
+  struct Variant {
+    const char* name;
+    double loss;
+    double reorder;
+    std::size_t shards;
+    bool filled_streams;
+  };
+  for (const Variant& v :
+       {Variant{"clean", 0.0, 0.0, 1, true},
+        Variant{"client loss and reordering", 0.02, 0.05, 1, false},
+        Variant{"two shards", 0.0, 0.0, 2, true}}) {
+    SCOPED_TRACE(v.name);
+    testbed::ScenarioOptions so;
+    so.profile = google_like_profile();
+    so.client_count = 6;
+    so.seed = 4242;
+    so.client_link_loss = v.loss;
+    so.client_link_reorder = v.reorder;
+    so.sim_shards = v.shards;
+    testbed::ScenarioOptions real = so;
+    real.capture_payloads = true;
+    testbed::ScenarioOptions filled = so;
+    filled.stream_analysis = v.filled_streams;
+
+    const CampaignRun a = run_campaign(real);
+    const CampaignRun b = run_campaign(filled);
+    EXPECT_EQ(a.payload_readers, so.client_count);
+    EXPECT_EQ(b.payload_readers, 0u);
+    ASSERT_EQ(a.result.boundary, b.result.boundary);
+    ASSERT_EQ(a.result.per_node_timings.size(),
+              b.result.per_node_timings.size());
+    for (std::size_t n = 0; n < a.result.per_node_timings.size(); ++n) {
+      const auto& qa = a.result.per_node_timings[n];
+      const auto& qb = b.result.per_node_timings[n];
+      ASSERT_EQ(qa.size(), qb.size()) << "node " << n;
+      for (std::size_t q = 0; q < qa.size(); ++q) {
+        EXPECT_EQ(std::memcmp(&qa[q], &qb[q], sizeof(qa[q])), 0)
+            << "node " << n << " query " << q;
+      }
+    }
+    EXPECT_EQ(a.counters, b.counters);
+    EXPECT_EQ(a.events, b.events);
+    if (v.loss > 0.0) {
+      EXPECT_GT(a.counters.at("link_drops_loss"), 0u);
+      EXPECT_GT(a.counters.at("link_packets_reordered"), 0u);
+    }
+  }
 }
 
 }  // namespace

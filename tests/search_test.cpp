@@ -7,6 +7,7 @@
 #include <string_view>
 #include <utility>
 
+#include "cdn/deployment.hpp"
 #include "search/content_model.hpp"
 #include "search/keywords.hpp"
 
@@ -378,6 +379,50 @@ TEST(ContentModel, TargetJustAboveMenuSizeFallsBackToMinimumResult) {
   }
   EXPECT_EQ(results, profile.results_per_page);
   EXPECT_NE(body.find("</html>"), std::string::npos);
+}
+
+TEST(ContentModel, DynamicSizeMatchesBodyAndMakesTheSameDraw) {
+  // dynamic_size() lays the body out without writing it; the size must be
+  // the length dynamic_body() returns, and both must leave the rng at the
+  // same point. write_dynamic() must then produce dynamic_body()'s bytes.
+  const std::string words = "alpha beta gamma delta epsilon zeta eta theta "
+                            "iota kappa lambda mu nu xi omicron pi rho sigma";
+  for (const cdn::ServiceProfile& service :
+       {cdn::google_like_profile(), cdn::bing_like_profile()}) {
+    for (const double sigma : {0.0, service.content.dynamic_size_sigma, 0.5}) {
+      ContentProfile profile = service.content;
+      profile.dynamic_size_sigma = sigma;
+      const ContentModel m(profile, service.name);
+      for (std::size_t len = 1; len <= 80; ++len) {
+        SCOPED_TRACE(service.name + " sigma " + std::to_string(sigma) +
+                     " keyword length " + std::to_string(len));
+        const Keyword kw{words.substr(0, len), KeywordClass::kComplex, 1};
+        sim::RngStream sized(len), built(len);
+        const DynamicSize size = m.dynamic_size(kw, sized);
+        const std::string body = m.dynamic_body(kw, built);
+        EXPECT_EQ(size.bytes, body.size());
+        EXPECT_EQ(sized.uniform01(), built.uniform01());
+        // The layout fills exactly the size it measured: no byte is left
+        // as it was before writing, and the page ends where it should.
+        EXPECT_EQ(body.find('\0'), std::string::npos);
+        EXPECT_TRUE(body.ends_with("</html>\n"));
+        std::string written(size.bytes, '#');
+        m.write_dynamic(kw, size, written.data());
+        EXPECT_EQ(written, body);
+      }
+    }
+  }
+
+  // The target-just-above-menu-size case: the per-result budget's floor.
+  ContentProfile floor;
+  floor.dynamic_base_bytes = 0;
+  floor.dynamic_per_word_bytes = 0;
+  floor.dynamic_size_sigma = 0.0;
+  const ContentModel m(floor, "S");
+  const Keyword kw{std::string(80, 'k'), KeywordClass::kComplex, 1};
+  sim::RngStream sized(1), built(1);
+  EXPECT_EQ(m.dynamic_size(kw, sized).bytes, m.dynamic_body(kw, built).size());
+  EXPECT_EQ(sized.uniform01(), built.uniform01());
 }
 
 }  // namespace

@@ -81,6 +81,7 @@ PacketTrace make_real_trace(bool payloads, int connections = 1,
                             SpillWriter* spill = nullptr,
                             std::size_t budget = 0,
                             TraceRecorder** recorder_out = nullptr) {
+  recorder.reset();  // it must not outlive the harness's network
   harness = std::make_unique<TwoNodeHarness>();
   RecorderOptions ro;
   ro.capture_payloads = payloads;
