@@ -231,7 +231,7 @@ void BackendDataCenter::serve_fetch(tcp::TcpSocket& socket) {
       });
 
   tcp::TcpSocket::Callbacks cb;
-  cb.on_data = [sock, alive, parser](net::PayloadRef d) {
+  cb.on_data = [sock, alive, parser](const net::PayloadRef& d) {
     try {
       d.for_each_slice([&parser](std::span<const std::uint8_t> s) {
         parser->feed(std::string_view(
@@ -278,7 +278,7 @@ void BackendDataCenter::serve_direct(tcp::TcpSocket& socket) {
       });
 
   tcp::TcpSocket::Callbacks cb;
-  cb.on_data = [sock, alive, parser](net::PayloadRef d) {
+  cb.on_data = [sock, alive, parser](const net::PayloadRef& d) {
     try {
       d.for_each_slice([&parser](std::span<const std::uint8_t> s) {
         parser->feed(std::string_view(

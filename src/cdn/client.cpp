@@ -105,7 +105,7 @@ void QueryClient::submit(net::Endpoint server, const search::Keyword& keyword,
     ctx->result.connected = simulator.now();
     ctx->result.request_sent = simulator.now();
   };
-  cb.on_data = [ctx](net::PayloadRef d) {
+  cb.on_data = [ctx](const net::PayloadRef& d) {
     try {
       d.for_each_slice([&ctx](std::span<const std::uint8_t> s) {
         ctx->parser->feed(std::string_view(

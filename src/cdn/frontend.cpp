@@ -166,7 +166,7 @@ FrontEndServer::BackendConn& FrontEndServer::open_backend_conn(bool warm) {
       conn_ptr->socket->send_text(warm_req.serialize());
     }
   };
-  cb.on_data = [this, conn_ptr, alive](net::PayloadRef d) {
+  cb.on_data = [this, conn_ptr, alive](const net::PayloadRef& d) {
     if (!*alive) return;
     try {
       d.for_each_slice([&conn_ptr](std::span<const std::uint8_t> s) {
@@ -242,7 +242,7 @@ void FrontEndServer::accept_client(tcp::TcpSocket& socket) {
       });
 
   tcp::TcpSocket::Callbacks cb;
-  cb.on_data = [ctx, parser](net::PayloadRef d) {
+  cb.on_data = [ctx, parser](const net::PayloadRef& d) {
     try {
       d.for_each_slice([&parser](std::span<const std::uint8_t> s) {
         parser->feed(std::string_view(

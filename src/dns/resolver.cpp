@@ -31,7 +31,7 @@ void DnsServer::serve(tcp::TcpSocket& socket) {
   auto buffer = std::make_shared<std::string>();
 
   tcp::TcpSocket::Callbacks cb;
-  cb.on_data = [this, sock, alive, buffer](net::PayloadRef d) {
+  cb.on_data = [this, sock, alive, buffer](const net::PayloadRef& d) {
     d.append_to(*buffer);
     const std::size_t eol = buffer->find('\n');
     if (eol == std::string::npos) return;
@@ -129,7 +129,7 @@ void DnsClient::resolve(const std::string& name, Handler handler) {
   ++lookups_sent_;
 
   tcp::TcpSocket::Callbacks cb;
-  cb.on_data = [this, ctx, name, &simulator](net::PayloadRef d) {
+  cb.on_data = [this, ctx, name, &simulator](const net::PayloadRef& d) {
     d.append_to(ctx->buffer);
     const std::size_t eol = ctx->buffer.find('\n');
     if (eol == std::string::npos) return;

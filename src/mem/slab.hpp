@@ -205,6 +205,18 @@ class BlockCache {
 
   std::size_t free_count() const { return free_.size(); }
 
+  /// Hand one block straight to its home, bypassing any cache: for a
+  /// release on a thread whose caches are already destroyed (a
+  /// thread_local destructor that runs after them at thread exit).
+  static void hand_home(void* p) {
+    std::byte* block = static_cast<std::byte*>(p) - kHeader;
+    BlockHome* home = home_of(block);
+    DYNCDN_MEM_POISON(p, home->block_size - kHeader);
+    std::unique_lock<std::mutex> lock(home->mu);
+    home->returned.push_back(block);
+    release_if_done(home, lock);
+  }
+
  private:
   static constexpr std::size_t kHeader = alignof(std::max_align_t);
 

@@ -28,6 +28,8 @@ constexpr std::uint8_t kHeapClass = 0xFF;
 /// home of the thread that carved it, and that home keeps its chunks
 /// until every block is back (mem::BlockCache).
 struct Caches {
+  ~Caches();
+
   mem::BlockCache packet{sizeof(Packet), 256};
   mem::BlockCache cls[kClassCount] = {
       mem::BlockCache(sizeof(ByteBuf) + kClassCapacity[0],
@@ -43,6 +45,15 @@ struct Caches {
 static_assert(kClassCount == 4, "cache initializers above track the classes");
 
 thread_local Caches t_caches;
+
+/// Set once this thread's caches are destroyed. A thread_local destroyed
+/// after them (one constructed before the thread's first packet) may still
+/// release a packet or buffer; that block goes straight to its home. A
+/// bool is trivially destructible, so it stays readable until the thread
+/// is gone.
+thread_local bool t_caches_gone = false;
+
+Caches::~Caches() { t_caches_gone = true; }
 
 std::uint8_t class_for(std::size_t size) {
   for (std::size_t c = 0; c < kClassCount; ++c) {
@@ -69,6 +80,8 @@ void release_bytebuf(ByteBuf* b) noexcept {
   b->~ByteBuf();
   if (cls == kHeapClass) {
     ::operator delete(b);
+  } else if (t_caches_gone) [[unlikely]] {
+    mem::BlockCache::hand_home(b);
   } else {
     t_caches.cls[cls].deallocate(b);
   }
@@ -91,7 +104,11 @@ PacketPtr acquire_packet() {
 
 void release_packet(Packet* p) noexcept {
   p->~Packet();
-  t_caches.packet.deallocate(p);
+  if (t_caches_gone) [[unlikely]] {
+    mem::BlockCache::hand_home(p);
+  } else {
+    t_caches.packet.deallocate(p);
+  }
 }
 
 std::size_t packet_pool_free_count() {
@@ -136,6 +153,23 @@ PayloadRef PayloadRef::slice(std::size_t off, std::size_t len) const {
     remaining -= take;
   }
   return out;
+}
+
+void PayloadRef::drop_front(std::size_t n) {
+  const std::size_t first = first_length();
+  if (n < first) {
+    offset += n;
+    length -= n;
+    return;
+  }
+  // The view now starts inside the chain: promote that slice to primary.
+  std::size_t skip = n - first;
+  auto it = chain.begin();
+  while (skip >= it->length) skip -= (it++)->length;
+  buffer = std::move(it->buffer);
+  offset = it->offset + skip;
+  length -= n;
+  chain.erase(chain.begin(), it + 1);
 }
 
 void PayloadRef::append(PayloadRef tail) {

@@ -192,6 +192,9 @@ struct PayloadRef {
 
   /// Sub-view; clamps to the parent extent. Chain-aware.
   PayloadRef slice(std::size_t off, std::size_t len) const;
+  /// In place, the same view as slice(n, length - n): no new reference to
+  /// the buffer it keeps. `n` must be below `length`. Chain-aware.
+  void drop_front(std::size_t n);
   /// Concatenate `tail` after this payload (builds/extends the chain;
   /// physically adjacent views of the same buffer are merged).
   void append(PayloadRef tail);

@@ -1,11 +1,10 @@
 // Small-buffer-optimized move-only callable for the event kernel.
 //
-// Every TCP ACK re-arms the retransmission timer, so the event queue
-// constructs and destroys one callback per segment. std::function heap
-// allocates for captures beyond ~16 bytes and pays for copyability we never
-// use; this type stores any callable up to kInlineBytes inline (timer
-// lambdas capture a pointer or two) and only falls back to the heap for
-// oversized captures.
+// The event queue constructs and destroys one callback per event, several
+// per TCP segment. std::function heap allocates for captures beyond ~16
+// bytes and pays for copyability we never use; this type stores any
+// callable up to kInlineBytes inline (timer lambdas capture a pointer or
+// two) and only falls back to the heap for oversized captures.
 #pragma once
 
 #include <cstddef>
@@ -37,16 +36,20 @@ class Callback {
     if constexpr (sizeof(D) <= kInlineBytes &&
                   alignof(D) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       // Almost every kernel callback is a lambda over a few raw pointers:
       // trivially copyable and trivially destructible. Tag those in the
       // ops pointer's low bit so move and reset — the per-event hot path,
-      // hit twice per schedule/cancel pair — become an inline memcpy and
-      // a store instead of two indirect calls.
+      // hit twice per schedule/cancel pair — become an inline memcpy of
+      // the whole buffer and a store instead of two indirect calls. That
+      // memcpy reads all kInlineBytes, so zero them first: the callable may
+      // be smaller (or empty) and must leave no byte indeterminate.
       if constexpr (std::is_trivially_copyable_v<D> &&
                     std::is_trivially_destructible_v<D>) {
+        std::memset(storage_, 0, kInlineBytes);
+        ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
         ops_ = tag(&InlineModel<D>::ops);
       } else {
+        ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
         ops_ = &InlineModel<D>::ops;
       }
     } else {
@@ -134,13 +137,10 @@ class Callback {
   void move_from(Callback& other) noexcept {
     if (other.ops_ != nullptr) {
       if (other.trivial()) {
-        // Whole-buffer copy on purpose: the callable may be smaller than
-        // kInlineBytes and the tail indeterminate, but copying a fixed 48
-        // bytes beats a per-type size lookup on the hot path.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+        // Whole-buffer copy on purpose: copying a fixed 48 bytes (zeroed
+        // past the callable at construction) beats a per-type size lookup
+        // on the hot path.
         std::memcpy(storage_, other.storage_, kInlineBytes);
-#pragma GCC diagnostic pop
       } else {
         other.ops()->relocate(*this, other);
       }

@@ -38,10 +38,12 @@ EventId EventQueue::schedule(SimTime at, Callback cb) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  slots_[slot].cb = std::move(cb);
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  s.at = at;
+  s.seq = next_seq_++;
 
-  const std::uint32_t gen = slots_[slot].gen;
-  const Entry entry{at, next_seq_++, slot, gen};
+  const Entry entry{at, s.seq, slot, s.gen};
   // Near events (and any event behind the cursor, which can happen when
   // next_time() has drained ahead of last_popped_) go straight to the
   // heap; far cancellable timers go to the wheel.
@@ -53,7 +55,46 @@ EventId EventQueue::schedule(SimTime at, Callback cb) {
     if (++wheel_size_ > max_wheeled_) max_wheeled_ = wheel_size_;
   }
   ++live_;
-  return EventId{(static_cast<std::uint64_t>(slot) << 32) | gen};
+  return EventId{(static_cast<std::uint64_t>(slot) << 32) | entry.gen};
+}
+
+EventId EventQueue::reschedule(EventId id, SimTime at) {
+  if (!id.valid()) return {};
+  const std::uint32_t slot = static_cast<std::uint32_t>(id.value() >> 32);
+  const std::uint32_t gen = static_cast<std::uint32_t>(id.value());
+  if (slot >= slots_.size() || slots_[slot].gen != gen) return {};
+  if (at < last_popped_) {
+    throw std::logic_error(
+        "EventQueue::reschedule: scheduling into the past (" +
+        at.to_string() + " < " + last_popped_.to_string() + ")");
+  }
+  Slot& s = slots_[slot];
+  if (at < s.at) {
+    // Earlier: the queued entry would surface too late. Re-queue it.
+    Callback cb = std::move(s.cb);
+    cancel(id);
+    return schedule(at, std::move(cb));
+  }
+  // Later (or equal: the fresh seq still orders it later). The entry keeps
+  // its place; its old key precedes the new one, so it surfaces first and
+  // is re-filed under the slot's key then (see entry_moved).
+  s.at = at;
+  s.seq = next_seq_++;
+  ++cancelled_;
+  return id;
+}
+
+void EventQueue::refile(Entry e) {
+  const Slot& s = slots_[e.slot];
+  e.at = s.at;
+  e.seq = s.seq;
+  if (idx0_of(e.at) <
+      static_cast<std::int64_t>(cursor_idx0_) + kNearBuckets) {
+    heap_push(e);
+  } else {
+    wheel_place(e);
+    if (++wheel_size_ > max_wheeled_) max_wheeled_ = wheel_size_;
+  }
 }
 
 void EventQueue::wheel_place(Entry e) {
@@ -80,6 +121,10 @@ void EventQueue::replace_after_cascade(Entry e) {
     --dead_total_;
     --wheel_size_;
     return;
+  }
+  if (entry_moved(e)) {
+    e.at = slots_[e.slot].at;
+    e.seq = slots_[e.slot].seq;
   }
   if (idx0_of(e.at) <
       static_cast<std::int64_t>(cursor_idx0_) + kNearBuckets) {
@@ -128,9 +173,11 @@ void EventQueue::step_cursor() {
   for (Entry& e : due) {
     if (entry_dead(e)) {
       --dead_total_;  // a cancelled wheel entry dies here, in place
-      continue;
+    } else if (entry_moved(e)) {
+      refile(e);  // never into `due`: refile places >= kNearBuckets ahead
+    } else {
+      heap_push(e);
     }
-    heap_push(e);
   }
   due.clear();
 }
@@ -181,10 +228,16 @@ bool EventQueue::cancel(EventId id) {
 }
 
 void EventQueue::skim() {
-  while (!heap_.empty() && entry_dead(heap_.front())) {
+  while (!heap_.empty() && (entry_dead(heap_.front()) ||
+                            entry_moved(heap_.front()))) {
     std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Entry e = heap_.back();
     heap_.pop_back();
-    --dead_total_;
+    if (entry_dead(e)) {
+      --dead_total_;
+    } else {
+      refile(e);
+    }
   }
 }
 

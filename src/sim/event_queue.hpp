@@ -32,6 +32,15 @@
 // Total storage stays O(live events) no matter how hard timers churn, and
 // cancel itself never inspects where the entry lives — it is a generation
 // bump plus one counter increment.
+//
+// Re-arming a timer later (TCP's RTO on every ACK) does not even cancel:
+// reschedule() rewrites the slot's key (time, fresh seq) and leaves the
+// queued entry where it is. That entry's old key precedes the new one, so
+// it surfaces first — at the heap top, at its bucket's flush, or at a
+// cascade — and is re-filed under the slot's key then. A timer re-armed
+// many times before it comes due is re-filed at most once per surfacing,
+// not pushed once per re-arm. The seq and cancel counts are those of
+// cancel + schedule, so every event fires at the same (time, seq).
 #pragma once
 
 #include <array>
@@ -92,6 +101,16 @@ class EventQueue {
   /// or already-cancelled id (no-op). Returns true if the event was pending.
   bool cancel(EventId id);
 
+  /// Move a pending event to fire at `at`, exactly as cancel(id) followed by
+  /// schedule(at, <its callback>) would: it takes a fresh seq and counts
+  /// one cancel, so the event fires at the same (time, seq) and the
+  /// counters match. Moving it later (or to the same time) only rewrites
+  /// its slot's key; the queued entry is re-filed when it surfaces. Moving
+  /// it earlier falls back to cancel + schedule. Returns the event's id
+  /// (a new one when it moved earlier), or an invalid id, doing nothing,
+  /// if `id` is not pending.
+  EventId reschedule(EventId id, SimTime at);
+
   bool empty() const { return live_ == 0; }
 
   /// Time of the earliest pending event; SimTime::infinity() when empty.
@@ -129,6 +148,8 @@ class EventQueue {
   };
   struct Slot {
     Callback cb;
+    SimTime at;              // the event's key: an entry whose seq differs
+    std::uint64_t seq = 0;   // was rescheduled later (see entry_moved)
     std::uint32_t gen = 1;   // bumped when the slot's event fires/cancels
   };
   using Bucket = std::vector<Entry>;
@@ -141,10 +162,19 @@ class EventQueue {
   bool entry_dead(const Entry& e) const {
     return slots_[e.slot].gen != e.gen;
   }
+  /// A live entry filed under an older key than its slot's: reschedule()
+  /// moved the event later. Its key precedes the slot's, so it surfaces
+  /// early (heap top, bucket flush, cascade) and is re-filed then.
+  bool entry_moved(const Entry& e) const {
+    return slots_[e.slot].seq != e.seq;
+  }
 
   /// Push an entry onto the min-heap.
   void heap_push(Entry e);
-  /// Drop cancelled entries from the top of the heap.
+  /// File a moved entry under its slot's key: heap if near, else wheel.
+  void refile(Entry e);
+  /// Drop cancelled entries from the top of the heap, and re-file moved
+  /// ones, until the top is live and current.
   void skim();
   /// Sweep dead entries out of heap, wheel, and overflow once they
   /// dominate the live population.

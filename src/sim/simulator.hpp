@@ -41,6 +41,14 @@ class Simulator {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Move a pending event to absolute time `at` (>= now()); same firing
+  /// order and counters as cancel + schedule_at with its callback. Returns
+  /// its id (which changes if it moved earlier), or an invalid id if `id`
+  /// was not pending. See EventQueue::reschedule.
+  EventId reschedule_at(EventId id, SimTime at) {
+    return queue_.reschedule(id, at);
+  }
+
   /// Time of the earliest pending event; SimTime::infinity() when idle.
   /// (May advance the timing wheel's cursor internally.)
   SimTime next_event_time() { return queue_.next_time(); }

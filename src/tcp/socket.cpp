@@ -267,8 +267,7 @@ void TcpSocket::process_ack(const net::PacketPtr& p) {
     if (!send_buf_.empty() && data_acked_upto > buf_seq_base_) {
       const std::size_t cut =
           static_cast<std::size_t>(data_acked_upto - buf_seq_base_);
-      net::PayloadRef& front = send_buf_.front();
-      front = front.slice(cut, front.length - cut);
+      send_buf_.front().drop_front(cut);
       buf_bytes_ -= cut;
       buf_seq_base_ += cut;
     }
@@ -489,12 +488,18 @@ void TcpSocket::process_payload(const net::PacketPtr& p) {
     return;
   }
 
-  // In-order (possibly partially duplicate) segment.
+  // In-order segment: delivered as it came, or without the bytes the
+  // receiver already had.
   const std::size_t dup = static_cast<std::size_t>(rcv_nxt_ - seq);
-  net::PayloadRef fresh = p->payload.slice(dup, p->payload.length - dup);
-  rcv_nxt_ += fresh.length;
-  stats_.bytes_received += fresh.length;
-  if (callbacks_.on_data && !fresh.empty()) callbacks_.on_data(fresh);
+  rcv_nxt_ += len - dup;
+  stats_.bytes_received += len - dup;
+  if (callbacks_.on_data) {
+    if (dup == 0) {
+      callbacks_.on_data(p->payload);
+    } else {
+      callbacks_.on_data(p->payload.slice(dup, len - dup));
+    }
+  }
   deliver_in_order();
 
   // Peer FIN may now be consumable.
@@ -509,15 +514,15 @@ void TcpSocket::deliver_in_order() {
   auto it = out_of_order_.begin();
   while (it != out_of_order_.end() && it->first <= rcv_nxt_) {
     const std::uint64_t seq = it->first;
-    net::PayloadRef ref = it->second;
+    net::PayloadRef ref = std::move(it->second);
     ooo_bytes_ -= ref.length;
     it = out_of_order_.erase(it);
     if (seq + ref.length <= rcv_nxt_) continue;  // fully duplicate
     const std::size_t dup = static_cast<std::size_t>(rcv_nxt_ - seq);
-    net::PayloadRef fresh = ref.slice(dup, ref.length - dup);
-    rcv_nxt_ += fresh.length;
-    stats_.bytes_received += fresh.length;
-    if (callbacks_.on_data && !fresh.empty()) callbacks_.on_data(fresh);
+    if (dup != 0) ref.drop_front(dup);
+    rcv_nxt_ += ref.length;
+    stats_.bytes_received += ref.length;
+    if (callbacks_.on_data) callbacks_.on_data(ref);
     it = out_of_order_.begin();
   }
 }
@@ -739,9 +744,14 @@ sim::SimTime TcpSocket::current_rto() const {
 }
 
 void TcpSocket::arm_rto() {
-  disarm_rto();
-  rto_timer_ =
-      stack_.simulator().schedule_in(current_rto(), [this]() { on_rto(); });
+  // Every ACK with forward progress re-arms, almost always later: move the
+  // pending timer instead of cancelling it and queueing a new one.
+  sim::Simulator& simulator = stack_.simulator();
+  const sim::SimTime at = simulator.now() + current_rto();
+  if (rto_timer_.valid()) rto_timer_ = simulator.reschedule_at(rto_timer_, at);
+  if (!rto_timer_.valid()) {
+    rto_timer_ = simulator.schedule_at(at, [this]() { on_rto(); });
+  }
 }
 
 void TcpSocket::disarm_rto() {

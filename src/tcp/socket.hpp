@@ -58,8 +58,10 @@ class TcpSocket {
   struct Callbacks {
     /// Connection reached ESTABLISHED (fires on both ends).
     std::function<void()> on_connected;
-    /// In-order application data arrived.
-    std::function<void(net::PayloadRef)> on_data;
+    /// In-order application data arrived. Passed by reference: the view is
+    /// often the arriving packet's own payload, and a copy would take a
+    /// reference on every buffer of it. Copy it to keep it.
+    std::function<void(const net::PayloadRef&)> on_data;
     /// Peer sent FIN and all its data has been delivered.
     std::function<void()> on_remote_close;
     /// Connection fully terminated (either cleanly or by reset).

@@ -1,12 +1,16 @@
 // Unit tests for the hot-path memory subsystem (src/mem/): SlabPool /
 // TypedSlab block recycling, BlockCache hand-back across threads, Arena
 // bump allocation and reset, FlatMap open-addressing semantics and
-// determinism — plus, under ASan builds,
+// determinism; the allocation tracker's per-thread counts (obs/memory.hpp)
+// across joins, thread teardown and the peak bound — plus, under ASan builds,
 // death tests proving that use-after-release of slab/arena memory faults
 // (the free lists are poisoned, so stale pointers behave like a heap
 // use-after-free instead of silently reading recycled state).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -14,9 +18,14 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <malloc.h>
+#endif
+
 #include "mem/arena.hpp"
 #include "mem/flat_table.hpp"
 #include "mem/slab.hpp"
+#include "obs/memory.hpp"
 
 namespace dyncdn::mem {
 namespace {
@@ -202,6 +211,207 @@ TEST(FlatMap, IdenticalOperationHistoryYieldsIdenticalIteration) {
     return order;
   };
   EXPECT_EQ(build(), build());
+}
+
+// ---- Allocation tracker (obs/memory.hpp) --------------------------------
+//
+// Each thread folds its counts into the totals in batches. Between the
+// snapshots below a test allocates only through ::operator new, into
+// storage reserved before the first snapshot, so every count it expects is
+// exact; a thread's own start-up allocations are measured by an identical
+// run that allocates nothing.
+
+constexpr int kTrackerThreads = 4;
+
+bool tracker_counts() {
+#if defined(__linux__)
+  return obs::memory_tracking_enabled();
+#else
+  return false;
+#endif
+}
+
+std::uint64_t usable(void* p) {
+#if defined(__linux__)
+  return malloc_usable_size(p);
+#else
+  (void)p;
+  return 0;
+#endif
+}
+
+struct TrackerDelta {
+  std::int64_t allocations = 0;
+  std::int64_t frees = 0;
+  std::int64_t live_bytes = 0;
+};
+
+TrackerDelta tracker_delta(const obs::MemorySnapshot& before,
+                           const obs::MemorySnapshot& after) {
+  return {static_cast<std::int64_t>(after.allocations - before.allocations),
+          static_cast<std::int64_t>(after.frees - before.frees),
+          static_cast<std::int64_t>(after.live_bytes - before.live_bytes)};
+}
+
+/// Thread i allocates `per_thread` blocks of mixed sizes (enough to fold
+/// on the byte threshold and on the operation count) and frees half of
+/// them; after a join, thread i frees the other half of thread (i+1)'s.
+TrackerDelta allocate_here_free_there(std::size_t per_thread) {
+  std::vector<std::vector<void*>> blocks(kTrackerThreads,
+                                         std::vector<void*>(per_thread));
+  const obs::MemorySnapshot before = obs::memory_snapshot();
+  const auto run_all = [](auto body) {
+    std::array<std::thread, kTrackerThreads> pool;
+    for (int i = 0; i < kTrackerThreads; ++i) pool[i] = std::thread(body, i);
+    for (std::thread& t : pool) t.join();
+  };
+  run_all([&blocks, per_thread](int i) {
+    std::vector<void*>& mine = blocks[static_cast<std::size_t>(i)];
+    for (std::size_t k = 0; k < per_thread; ++k) {
+      mine[k] = ::operator new(16 + (k * 37) % 700);
+    }
+    for (std::size_t k = 0; k < per_thread; k += 2) ::operator delete(mine[k]);
+  });
+  run_all([&blocks, per_thread](int i) {
+    std::vector<void*>& theirs =
+        blocks[static_cast<std::size_t>((i + 1) % kTrackerThreads)];
+    for (std::size_t k = 1; k < per_thread; k += 2) {
+      ::operator delete(theirs[k]);
+    }
+  });
+  return tracker_delta(before, obs::memory_snapshot());
+}
+
+TEST(AllocationTracker, CountsAreExactAfterThreadsJoin) {
+  if (!tracker_counts()) GTEST_SKIP() << "allocation tracking compiled out";
+  const TrackerDelta idle = allocate_here_free_there(0);
+  constexpr std::size_t kPerThread = 10000;
+  const TrackerDelta busy = allocate_here_free_there(kPerThread);
+  const std::int64_t blocks = kTrackerThreads * kPerThread;
+  EXPECT_EQ(busy.allocations - idle.allocations, blocks);
+  EXPECT_EQ(busy.frees - idle.frees, blocks);
+  EXPECT_EQ(idle.live_bytes, 0);
+  EXPECT_EQ(busy.live_bytes, 0);
+}
+
+/// Constructed before its thread's first allocation, so it is destroyed
+/// after the tracker's exit fold: what it frees and allocates then must
+/// reach the totals directly.
+struct TeardownAllocator {
+  void* held = nullptr;
+  ~TeardownAllocator() {
+    ::operator delete(held);
+    ::operator delete(::operator new(5000));
+  }
+};
+
+TEST(AllocationTracker, TeardownAllocationsStillBalance) {
+  if (!tracker_counts()) GTEST_SKIP() << "allocation tracking compiled out";
+  const obs::MemorySnapshot before = obs::memory_snapshot();
+  std::thread([] {
+    thread_local TeardownAllocator late;
+    late.held = ::operator new(3000);
+    for (int i = 0; i < 100; ++i) ::operator delete(::operator new(100));
+  }).join();
+  const TrackerDelta d = tracker_delta(before, obs::memory_snapshot());
+  EXPECT_EQ(d.live_bytes, 0);
+  EXPECT_EQ(d.allocations, d.frees);
+  EXPECT_GE(d.allocations, 102);
+}
+
+TEST(AllocationTracker, PeakIsExactOnOneThread) {
+  if (!tracker_counts()) GTEST_SKIP() << "allocation tracking compiled out";
+  // About 2.5 fold thresholds of blocks, then a partial release and a
+  // smaller second rise, so the peak falls between two folds.
+  std::array<void*, 600> blocks{};
+  obs::reset_peak_live_bytes();
+  const obs::MemorySnapshot before = obs::memory_snapshot();
+  std::uint64_t live = 0;
+  std::uint64_t peak = 0;
+  for (std::size_t i = 0; i < 400; ++i) {
+    blocks[i] = ::operator new(1000 + (i * 53) % 1200);
+    live += usable(blocks[i]);
+    peak = std::max(peak, live);
+  }
+  for (std::size_t i = 0; i < 400; i += 3) {
+    live -= usable(blocks[i]);
+    ::operator delete(blocks[i]);
+  }
+  for (std::size_t i = 400; i < blocks.size(); ++i) {
+    blocks[i] = ::operator new(900);
+    live += usable(blocks[i]);
+    peak = std::max(peak, live);
+  }
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (i >= 400 || i % 3 != 0) ::operator delete(blocks[i]);
+  }
+  const obs::MemorySnapshot after = obs::memory_snapshot();
+  EXPECT_GT(peak, 2u * obs::kMemoryFoldBytes);
+  EXPECT_EQ(after.peak_live_bytes, before.live_bytes + peak);
+  EXPECT_EQ(after.live_bytes, before.live_bytes);
+}
+
+TEST(AllocationTracker, FreshThreadPeakStartsFromTheLiveTotal) {
+  if (!tracker_counts()) GTEST_SKIP() << "allocation tracking compiled out";
+  // The main thread holds a megabyte; a new thread's allocations, below
+  // one fold threshold, stack on top of it.
+  void* held = ::operator new(1 << 20);
+  obs::reset_peak_live_bytes();
+  const obs::MemorySnapshot before = obs::memory_snapshot();
+  std::uint64_t added = 0;
+  std::thread([&added] {
+    std::array<void*, 50> blocks{};
+    for (void*& b : blocks) {
+      b = ::operator new(2000);
+      added += usable(b);
+    }
+    for (void* b : blocks) ::operator delete(b);
+  }).join();
+  const obs::MemorySnapshot after = obs::memory_snapshot();
+  ::operator delete(held);
+  ASSERT_LT(added, static_cast<std::uint64_t>(obs::kMemoryFoldBytes));
+  EXPECT_GE(after.peak_live_bytes, before.live_bytes + added);
+  // Only the thread's own start-up allocations may add to that.
+  EXPECT_LE(after.peak_live_bytes, before.live_bytes + added + 4096);
+}
+
+TEST(AllocationTracker, PeakOfFourThreadsIsWithinTheStatedBound) {
+  if (!tracker_counts()) GTEST_SKIP() << "allocation tracking compiled out";
+  constexpr std::size_t kBlocks = 128;  // of 16 KiB: 2 MiB per thread
+  std::vector<std::array<void*, kBlocks>> blocks(kTrackerThreads);
+  std::array<std::uint64_t, kTrackerThreads> held{};
+  std::atomic<int> holding{0};
+  obs::reset_peak_live_bytes();
+  const obs::MemorySnapshot before = obs::memory_snapshot();
+  std::array<std::thread, kTrackerThreads> pool;
+  for (int i = 0; i < kTrackerThreads; ++i) {
+    pool[static_cast<std::size_t>(i)] = std::thread([&, i] {
+      const auto n = static_cast<std::size_t>(i);
+      for (void*& b : blocks[n]) {
+        b = ::operator new(16 << 10);
+        held[n] += usable(b);
+      }
+      holding.fetch_add(1, std::memory_order_acq_rel);
+      while (holding.load(std::memory_order_acquire) < kTrackerThreads) {
+        std::this_thread::yield();
+      }
+      // All four hold their blocks now: one more allocation on each thread
+      // sees every other thread's folded bytes.
+      ::operator delete(::operator new(64));
+      for (void* b : blocks[n]) ::operator delete(b);
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  const obs::MemorySnapshot after = obs::memory_snapshot();
+  std::uint64_t all_held = 0;
+  for (std::uint64_t h : held) all_held += h;
+  const std::uint64_t bound =
+      (kTrackerThreads - 1) * static_cast<std::uint64_t>(obs::kMemoryFoldBytes);
+  EXPECT_GE(after.peak_live_bytes + bound, before.live_bytes + all_held);
+  // Never high: only the threads' own start-up allocations and the probes
+  // add to what they held.
+  EXPECT_LE(after.peak_live_bytes, before.live_bytes + all_held + 16384);
+  EXPECT_EQ(after.live_bytes, before.live_bytes);
 }
 
 #if DYNCDN_MEM_ASAN

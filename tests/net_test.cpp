@@ -112,6 +112,39 @@ TEST(PacketMemory, BlocksOutliveTheThreadThatAcquiredThem) {
   }
 }
 
+// A thread_local constructed before the thread's first packet is destroyed
+// after the thread's block caches, so the packet and buffer it holds are
+// released when those caches are gone. The blocks must go home without
+// touching them (under ASan a push into a destroyed cache is a
+// heap-use-after-free), and stay usable by threads that come later.
+struct HeldPastTheCaches {
+  PacketPtr packet;
+  Buffer buffer;
+};
+
+TEST(PacketMemory, ReleaseAfterTheThreadsCachesAreGone) {
+  for (int round = 0; round < 3; ++round) {
+    std::thread([] {
+      thread_local HeldPastTheCaches held;
+      held.packet = make_packet(NodeId{1}, NodeId{2}, 100);
+      held.buffer = make_buffer("held until thread exit");
+    }).join();
+  }
+  // Blocks handed home that way are reused like any other.
+  PacketPtr packet;
+  std::thread([&packet] {
+    thread_local HeldPastTheCaches held;
+    held.packet = make_packet(NodeId{3}, NodeId{4}, 100);
+    packet = held.packet;
+  }).join();
+  EXPECT_EQ(packet.use_count(), 1u);
+  EXPECT_EQ(packet->src, NodeId{3});
+  EXPECT_EQ(packet->payload.bytes()[99], 0xAB);
+  packet.reset();
+  const PacketPtr fresh = make_packet(NodeId{5}, NodeId{6}, 100);
+  EXPECT_EQ(fresh->payload.bytes()[0], 0xAB);
+}
+
 // Across a cross-shard cut the receiver's TCP reassembly keeps zero-copy
 // slices of the sender's payload buffer, so two shard workers copy and
 // drop references to one buffer at the same time. The count must stay
